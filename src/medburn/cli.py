@@ -232,6 +232,8 @@ def _parse_prior(text: str, dim: int) -> Belief:
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     spec = load_game_file(args.path)
     budgets = [rat(c) for c in args.budget]
     dim = len(spec.types)

@@ -104,25 +104,31 @@ def _blocks(
     structure: PiecewiseValueStructure, budget: Rational | None, branch_mode: str
 ) -> list[tuple[int, str, Rational]]:
     out = []
-    for k in structure.solver_piece_indices():
-        piece = structure.pieces[k]
+    for k, piece in enumerate(structure.pieces):
         out.append((k, MAX_BRANCH, piece.vmax))
         if branch_mode == TWO_BRANCH:
             out.append((k, MIN_BRANCH, piece.vmin - budget))
     return out
 
 
-def _mass_rows(structure, blocks):
-    """Equality rows forcing block masses to rebuild the prior, then cone rows."""
+def _cone_blocks(structure: PiecewiseValueStructure, pieces: list[int]):
+    """Variables, prior-mass rows and cone rows for one block per listed piece.
+
+    Block ``b`` holds the nonnegative ``mass x belief`` vector ``z{b}_{t}`` at
+    columns ``b * dim + t``.  The mass rows make the blocks sum to the prior;
+    the cone rows keep each block in the cone over its piece's region.
+    """
     n = structure.dim
-    rows: list[tuple[dict, str, Rational]] = []
-    for t in range(n):
-        rows.append(({b * n + t: ONE for b in range(len(blocks))}, EQ, structure.prior[t]))
-    for b, (k, _, _) in enumerate(blocks):
+    variables = [(f"z{b}_{t}", NONNEG) for b in range(len(pieces)) for t in range(n)]
+    mass = [
+        ({b * n + t: ONE for b in range(len(pieces))}, EQ, structure.prior[t])
+        for t in range(n)
+    ]
+    cone = []
+    for b, k in enumerate(pieces):
         for coeffs, relation in structure.pieces[k].region.cone_rows():
-            row = {b * n + t: c for t, c in enumerate(coeffs) if c != 0}
-            rows.append((row, relation, ZERO))
-    return rows
+            cone.append(({b * n + t: c for t, c in enumerate(coeffs) if c != 0}, relation, ZERO))
+    return variables, mass, cone
 
 
 def _extract_atoms(
@@ -190,12 +196,8 @@ def concavify_weighted(query: WeightedEnvelopeQuery) -> EnvelopeResult:
             lt = query.lam[t]
             if lt != 0:
                 objective[b * n + t] = coeff * lt / structure.prior[t]
-    lp = LinearProgram(
-        "max",
-        [(f"z{b}_{t}", NONNEG) for b in range(len(blocks)) for t in range(n)],
-        objective,
-        _mass_rows(structure, blocks),
-    )
+    variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
+    lp = LinearProgram("max", variables, objective, mass + cone)
     sol = solve(lp)
     assert sol.status == OPTIMAL, f"envelope LP came back {sol.status}"
     atoms = _extract_atoms(structure, blocks, sol.primal)
@@ -276,26 +278,21 @@ def worst_prior_envelope(
         raise ValueError("budget must be nonnegative")
     n = structure.dim
     blocks = _blocks(structure, budget, branch_mode)
-    nblocks = len(blocks)
-    eta = nblocks * n
-    variables = [(f"z{b}_{t}", NONNEG) for b in range(nblocks) for t in range(n)]
+    eta = len(blocks) * n
+    variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
     variables.append(("eta", FREE))
 
-    rows: list[tuple[dict, str, Rational]] = []
-    for t in range(n):
-        rows.append(({b * n + t: ONE for b in range(nblocks)}, EQ, structure.prior[t]))
+    # Payoff rows sit right after the n mass rows, so their duals are sol.dual[n + t].
+    payoff: list[tuple[dict, str, Rational]] = []
     relation = LE if domain == "simplex" else EQ
     for t in range(n):
         row: dict[int, Rational] = {eta: ONE}
         for b, (_, _, coeff) in enumerate(blocks):
             if coeff != 0:
                 row[b * n + t] = -coeff / structure.prior[t]
-        rows.append((row, relation, ZERO))
-    for b, (k, _, _) in enumerate(blocks):
-        for coeffs, rel in structure.pieces[k].region.cone_rows():
-            rows.append(({b * n + t: c for t, c in enumerate(coeffs) if c != 0}, rel, ZERO))
+        payoff.append((row, relation, ZERO))
 
-    lp = LinearProgram("max", variables, {eta: ONE}, rows)
+    lp = LinearProgram("max", variables, {eta: ONE}, mass + payoff + cone)
     sol = solve(lp)
     assert sol.status == OPTIMAL, f"worst-prior LP came back {sol.status}"
     lam_weights = [sol.dual[n + t] for t in range(n)]
@@ -317,27 +314,11 @@ def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:
     is always feasible because the regions cover the simplex.
     """
     _require_full_support(structure)
-    n = structure.dim
-    indices = structure.solver_piece_indices()
-    levels = sorted({structure.pieces[k].vmax for k in indices}, reverse=True)
+    pieces = structure.pieces
+    levels = sorted({p.vmax for p in pieces}, reverse=True)
     for level in levels:
-        qualifying = [k for k in indices if structure.pieces[k].vmax >= level]
-        rows: list[tuple[dict, str, Rational]] = []
-        for t in range(n):
-            rows.append(
-                ({b * n + t: ONE for b in range(len(qualifying))}, EQ, structure.prior[t])
-            )
-        for b, k in enumerate(qualifying):
-            for coeffs, rel in structure.pieces[k].region.cone_rows():
-                rows.append(
-                    ({b * n + t: c for t, c in enumerate(coeffs) if c != 0}, rel, ZERO)
-                )
-        lp = LinearProgram(
-            "max",
-            [(f"z{b}_{t}", NONNEG) for b in range(len(qualifying)) for t in range(n)],
-            {},
-            rows,
-        )
-        if solve(lp).status == OPTIMAL:
+        qualifying = [k for k, p in enumerate(pieces) if p.vmax >= level]
+        variables, mass, cone = _cone_blocks(structure, qualifying)
+        if solve(LinearProgram("max", variables, {}, mass + cone)).status == OPTIMAL:
             return level
     raise AssertionError("piece regions failed to cover the simplex")

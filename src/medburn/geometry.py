@@ -1,11 +1,13 @@
 """Receiver best-response structure compiled into belief-space pieces.
 
-For each set of actions S the receiver is willing to tie over, the beliefs
-where every action in S is optimal form a closed polytope; attaching the
-sender's worst and best values over S gives a piecewise description of the
-achievable-value correspondence.  Every envelope computation downstream
-consumes this compiled form, so abstract value structures (given directly as
-polytopes with value intervals) plug into the same solvers.
+For each receiver action, the beliefs where it is optimal form a closed
+polytope; attaching the sender's value of that action gives a piecewise
+description of the achievable-value correspondence.  These single-action
+regions already fix the correspondence: a tie set's region is the
+intersection of its members' regions (``tie_region`` builds it on demand) and
+its value bounds are attained by those members.  Every envelope computation
+downstream consumes this compiled form, so abstract value structures (given
+directly as polytopes with value intervals) plug into the same solvers.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from typing import Iterable, Sequence
 from .core import Belief, PersuasionGame
 from .lp import EQ, FREE, GE, LE, NONNEG, OPTIMAL, LinearProgram, solve
 from .rational import ONE, ZERO, Rational, RationalLike, rat
-
-MAX_ACTIONS_FOR_PIECES = 12
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class Polytope:
 class ValuePiece:
     """A region of beliefs with the value interval achievable on it.
 
-    ``actions`` lists the tied receiver actions that generate a compiled
-    piece; directly supplied pieces leave it empty.
+    ``actions`` holds the receiver action whose best-response region a
+    compiled piece is; directly supplied pieces leave it empty.
     """
 
     region: Polytope
@@ -110,7 +110,6 @@ class PiecewiseValueStructure:
 
     pieces: tuple[ValuePiece, ...]
     prior: Belief
-    kind: str = "tie_sets"  # "tie_sets" (game-derived) | "direct"
 
     @property
     def dim(self) -> int:
@@ -129,24 +128,10 @@ class PiecewiseValueStructure:
             max(self.pieces[i].vmax for i in idx),
         )
 
-    def solver_piece_indices(self) -> tuple[int, ...]:
-        """Pieces the envelope LPs need.
-
-        For a game-derived structure the single-action pieces already span
-        every achievable (region, value) pair pointwise: a larger tie set's
-        region is the intersection of its members' regions and its value
-        bounds are attained by members.  Larger tie sets stay in ``pieces``
-        for reporting and region queries.
-        """
-        if self.kind != "tie_sets":
-            return tuple(range(len(self.pieces)))
-        singles = tuple(i for i, p in enumerate(self.pieces) if len(p.actions) == 1)
-        return singles if singles else tuple(range(len(self.pieces)))
-
     def with_prior(self, prior: Belief) -> "PiecewiseValueStructure":
         if len(prior) != self.dim:
             raise ValueError("prior dimension mismatch")
-        return PiecewiseValueStructure(self.pieces, prior, self.kind)
+        return PiecewiseValueStructure(self.pieces, prior)
 
 
 def direct_structure(
@@ -160,7 +145,7 @@ def direct_structure(
             raise ValueError("piece dimension does not match prior")
         if p.region.is_empty():
             raise ValueError(f"piece {p.label!r} has an empty region")
-    return PiecewiseValueStructure(packed, prior, kind="direct")
+    return PiecewiseValueStructure(packed, prior)
 
 
 def best_responses(game: PersuasionGame, mu: Belief) -> tuple[int, ...]:
@@ -176,48 +161,32 @@ def value_interval(game: PersuasionGame, mu: Belief) -> tuple[Rational, Rational
     return min(values), max(values)
 
 
-def _tie_region(game: PersuasionGame, tie_set: tuple[int, ...]) -> Polytope:
+def tie_region(game: PersuasionGame, actions: tuple[int, ...]) -> Polytope:
+    """Beliefs where every action in ``actions`` is a best response."""
     n = game.n_types
     rows = []
-    seen = set()
-    for a in tie_set:
+    for a in actions:
         for b in range(game.n_actions):
-            if b == a or (a, b) in seen:
+            if b == a:
                 continue
-            seen.add((a, b))
             coeffs = tuple(game.u[a][t] - game.u[b][t] for t in range(n))
             rows.append((coeffs, GE, ZERO))
     return Polytope.on_simplex(n, rows)
 
 
 def compile_pieces(game: PersuasionGame) -> PiecewiseValueStructure:
-    """Enumerate nonempty tie-set regions with their value intervals.
+    """Nonempty single-action best-response regions with their values.
 
-    Worst case emits 2^|A|-1 pieces; refuses more than
-    ``MAX_ACTIONS_FOR_PIECES`` actions.  Subsets are ordered by size then
-    lexicographically, so single-action pieces occupy a stable prefix.
+    Solves one emptiness LP per action and keeps the pieces in action order;
+    an action that is never a best response gets no piece.
     """
-    if game.n_actions > MAX_ACTIONS_FOR_PIECES:
-        raise ValueError(
-            f"{game.n_actions} actions would enumerate too many tie sets "
-            f"(limit {MAX_ACTIONS_FOR_PIECES})"
-        )
-    subsets: list[tuple[int, ...]] = []
-    for size in range(1, game.n_actions + 1):
-        subsets.extend(_subsets_of_size(game.n_actions, size))
     pieces = []
-    for tie_set in subsets:
-        region = _tie_region(game, tie_set)
-        if region.is_empty():
-            continue
-        values = [game.v[a] for a in tie_set]
-        label = "{" + ",".join(game.actions[a] for a in tie_set) + "}"
-        pieces.append(ValuePiece(region, min(values), max(values), tie_set, label))
-    return PiecewiseValueStructure(tuple(pieces), game.prior, kind="tie_sets")
-
-
-def _subsets_of_size(n: int, size: int) -> list[tuple[int, ...]]:
-    return [tuple(c) for c in combinations(range(n), size)]
+    for a in range(game.n_actions):
+        region = tie_region(game, (a,))
+        if not region.is_empty():
+            label = "{" + game.actions[a] + "}"
+            pieces.append(ValuePiece(region, game.v[a], game.v[a], (a,), label))
+    return PiecewiseValueStructure(tuple(pieces), game.prior)
 
 
 @dataclass(frozen=True)
@@ -250,10 +219,7 @@ def is_generic(game: PersuasionGame) -> GenericityReport:
 
 
 def _nonempty_subsets(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(1, n + 1):
-        out.extend(_subsets_of_size(n, size))
-    return out
+    return [c for size in range(1, n + 1) for c in combinations(range(n), size)]
 
 
 def _face_lp(

@@ -138,8 +138,7 @@ def lipschitz_slack(
 ) -> Rational:
     """Grid-resolution allowance: (2/n) times the steepest piece slope."""
     span = ZERO
-    for k in structure.solver_piece_indices():
-        piece = structure.pieces[k]
+    for piece in structure.pieces:
         coeffs = [piece.vmax] if budget is None else [piece.vmax, piece.vmin - budget]
         for c in coeffs:
             grads = [lam[t] * c / structure.prior[t] for t in range(structure.dim)]

@@ -126,6 +126,14 @@ def test_sweep_single_step_endpoints(capsys):
     assert lines[2].startswith("1,")
 
 
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_sweep_rejects_steps_below_one(capsys, steps):
+    code, out, err = run(capsys, "sweep", GAMES / "salesman.json", "--steps", steps)
+    assert code == 3
+    assert out == ""
+    assert err == f"validation error: --steps must be at least 1, got {steps}\n"
+
+
 def test_sweep_deterministic_and_to_file(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(

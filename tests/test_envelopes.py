@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from medburn.envelopes import (
     subjective_weight,
     worst_prior_envelope,
 )
-from medburn.geometry import PiecewiseValueStructure, compile_pieces
+from medburn.geometry import PiecewiseValueStructure, ValuePiece, compile_pieces, tie_region
 from medburn.oracle import GridSpec, grid_concavify, lipschitz_slack
 from random_games import game_corpus
 
@@ -143,6 +144,18 @@ def test_binary_grid_oracle_agreement(salesman, three_actions):
             assert bound <= exact <= bound + slack
 
 
+def tie_pieces(game):
+    """Every nonempty region of a tie set of two or more actions, as a piece."""
+    out = []
+    for size in range(2, game.n_actions + 1):
+        for tie in combinations(range(game.n_actions), size):
+            region = tie_region(game, tie)
+            if not region.is_empty():
+                values = [game.v[a] for a in tie]
+                out.append(ValuePiece(region, min(values), max(values), tie))
+    return out
+
+
 def test_full_and_reduced_piece_sets_agree():
     rng = random.Random(424242)
     corpus = [g for g in game_corpus(40, seed=8112)[:40]]
@@ -151,9 +164,10 @@ def test_full_and_reduced_piece_sets_agree():
         if checked >= 12:
             break
         s = compile_pieces(game)
-        if len(s.pieces) == len(s.solver_piece_indices()):
-            continue  # no tie pieces pruned; nothing to compare
-        full = PiecewiseValueStructure(s.pieces, s.prior, kind="direct")
+        ties = tie_pieces(game)
+        if not ties:
+            continue  # no tie pieces to add; nothing to compare
+        full = PiecewiseValueStructure(s.pieces + tuple(ties), s.prior)
         lam = SubjectivePrior.from_belief(s.prior)
         assert cav(s, lam).value == cav(full, lam).value
         assert quasiconcavify(s) == quasiconcavify(full)

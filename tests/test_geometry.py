@@ -5,9 +5,11 @@ from medburn.geometry import (
     best_responses,
     compile_pieces,
     is_generic,
+    tie_region,
     value_interval,
 )
 from medburn.oracle import grid_beliefs
+from medburn.solvers import protocol_report
 
 
 def test_best_responses_salesman(salesman):
@@ -29,26 +31,28 @@ def test_value_interval(salesman, three_actions):
 def test_compile_pieces_salesman(salesman):
     s = compile_pieces(salesman)
     labels = [p.label for p in s.pieces]
-    assert labels == ["{buy}", "{pass}", "{buy,pass}"]
-    buy, pas, tie = s.pieces
+    assert labels == ["{buy}", "{pass}"]
+    buy, pas = s.pieces
     assert (buy.vmin, buy.vmax) == (rat(1), rat(1))
     assert (pas.vmin, pas.vmax) == (rat(0), rat(0))
-    assert (tie.vmin, tie.vmax) == (rat(0), rat(1))
+    assert s.interval_at(Belief(["1/2", "1/2"])) == (rat(0), rat(1))
     # region extents on the 1-d slice
     assert pas.region.contains(Belief([0, 1]))
     assert pas.region.contains(Belief(["1/2", "1/2"]))
     assert not pas.region.contains(Belief(["3/5", "2/5"]))
     assert buy.region.contains(Belief(["1/2", "1/2"]))
     assert not buy.region.contains(Belief(["2/5", "3/5"]))
-    assert tie.region.contains(Belief(["1/2", "1/2"]))
-    assert not tie.region.contains(Belief(["1/4", "3/4"]))
+    tie = tie_region(salesman, (0, 1))
+    assert tie.contains(Belief(["1/2", "1/2"]))
+    assert not tie.contains(Belief(["1/4", "3/4"]))
 
 
 def test_compile_pieces_influencer_tie_region(influencer):
     s = compile_pieces(influencer)
-    tie = next(p for p in s.pieces if p.actions == (0, 1))
-    assert tie.region.contains(Belief(["1/2", "1/4", "1/4"]))
-    assert (tie.vmin, tie.vmax) == (rat(2), rat(3))
+    mu = Belief(["1/2", "1/4", "1/4"])
+    assert best_responses(influencer, mu) == (0, 1)
+    assert tie_region(influencer, (0, 1)).contains(mu)
+    assert s.interval_at(mu) == (rat(2), rat(3))
 
 
 def test_compile_pieces_single_action(single_action):
@@ -56,19 +60,6 @@ def test_compile_pieces_single_action(single_action):
     assert len(s.pieces) == 1
     assert s.pieces[0].region.contains(Belief([1, 0]))
     assert s.pieces[0].region.contains(Belief(["1/3", "2/3"]))
-
-
-def test_compile_guard_on_action_count():
-    n = 13
-    game = validate_game(
-        ["H", "L"],
-        [f"a{i}" for i in range(n)],
-        [[i, -i] for i in range(n)],
-        list(range(n)),
-        ["1/2", "1/2"],
-    )
-    with pytest.raises(ValueError):
-        compile_pieces(game)
 
 
 @pytest.mark.parametrize("fixture", ["salesman", "three_actions", "influencer"])
@@ -97,22 +88,41 @@ def test_duplicate_action_rows_break_genericity():
 
 
 def test_interval_matches_brute_force_on_grid(salesman, three_actions):
-    for game in (salesman, three_actions):
+    # 13 actions all tied at (1/2, 1/2), and 16 actions tangent to a parabola,
+    # each optimal around a/16 with neighbours tied at the grid points (2a+1)/32
+    thirteen = validate_game(
+        ["H", "L"],
+        [f"a{i}" for i in range(13)],
+        [[i, -i] for i in range(13)],
+        list(range(13)),
+        ["1/2", "1/2"],
+    )
+    sixteen = validate_game(
+        ["H", "L"],
+        [f"a{i}" for i in range(16)],
+        [[32 * i - i * i, -i * i] for i in range(16)],
+        [(7 * i) % 5 for i in range(16)],
+        ["1/3", "2/3"],
+    )
+    assert len(compile_pieces(sixteen).pieces) == 16
+    for game in (salesman, three_actions, thirteen, sixteen):
         structure = compile_pieces(game)
         for mu in grid_beliefs(2, 64):
             ro = best_responses(game, mu)
             expected = (min(game.v[a] for a in ro), max(game.v[a] for a in ro))
             assert value_interval(game, mu) == expected
             assert structure.interval_at(mu) == expected
+        chain = protocol_report(game, [1, 2]).chain()
+        assert list(chain) == sorted(chain)
 
 
 def test_piece_coverage_on_grid(influencer):
     structure = compile_pieces(influencer)
-    by_tie_set = {p.actions: p for p in structure.pieces}
     for mu in grid_beliefs(3, 64):
         tie = best_responses(influencer, mu)
-        assert tie in by_tie_set
-        assert by_tie_set[tie].region.contains(mu)
+        assert tie_region(influencer, tie).contains(mu)
+        covering = [structure.pieces[i].actions for i in structure.pieces_at(mu)]
+        assert covering == [(a,) for a in tie]
 
 
 def test_tie_sets_hold_throughout_their_regions(influencer, three_actions):
