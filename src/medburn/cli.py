@@ -7,7 +7,7 @@ prior) or a ``direct_pieces`` value structure over the same prior, plus an
 optional ``expected`` block of protocol values that ``verify`` re-checks.
 
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 unsupported sweep
-dimension, 5 verification violation.
+dimension, 5 verification violation, 6 an exact LP certificate check failed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .geometry import (
     direct_structure,
     is_generic,
 )
+from .lp import CertificateError
 from .mechanism import check_ic, construct_optimal_mdmb, net_payoffs, sender_payoff
 from .oracle import GridSpec, audit_structure
 from .rational import Rational, format_decimal, format_fraction, rat
@@ -42,6 +43,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SWEEP = 4
 EXIT_VERIFY = 5
+EXIT_CERTIFICATE = 6
 
 
 class GameFileError(ValueError):
@@ -395,6 +397,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except CertificateError as exc:
+        print(f"certificate error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
 
 
 if __name__ == "__main__":

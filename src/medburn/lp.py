@@ -1,10 +1,17 @@
 """Exact linear programming over rationals with certified answers.
 
-Two-phase tableau simplex with Bland's anti-cycling rule.  Every arithmetic
-step is an exact rational operation, so an ``optimal`` answer comes with a
-primal point and dual multipliers that satisfy feasibility and strong duality
-exactly (checked before returning), and an ``infeasible`` answer carries a
-Farkas combination of the rows.  There are no tolerances anywhere.
+Two-phase tableau simplex with Bland's anti-cycling rule.  The tableau is
+fraction-free: each row is a list of Python ints over one positive
+denominator, the least common denominator of the row's entries.  A pivot
+updates a row by integer cross-multiplication and then divides out the gcd
+of the row and its denominator (integer-preserving elimination in the style
+of Edmonds 1967 and Bareiss 1968), so every step is still exact rational
+arithmetic.  Rationals are rebuilt only for the returned vectors.  An
+``optimal`` answer comes with a primal point and dual multipliers that
+satisfy feasibility and strong duality exactly, and an ``infeasible`` answer
+carries a Farkas combination of the rows; both are checked in rationals
+before returning, and a failed check raises ``CertificateError`` in every
+interpreter mode.  There are no tolerances anywhere.
 
 Scale target is desk-sized instances (up to a few hundred variables); no
 attempt is made at sparse factorizations or revised-simplex bookkeeping.
@@ -12,6 +19,7 @@ attempt is made at sparse factorizations or revised-simplex bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +38,13 @@ _RELS = (LE, EQ, GE)
 
 class MalformedProgram(ValueError):
     pass
+
+
+class CertificateError(RuntimeError):
+    """An exact check of a simplex answer failed: the answer is not returned.
+
+    Not a ``ValueError``: it reports a solver fault, not a bad input.
+    """
 
 
 SparseRow = Mapping[int, RationalLike]
@@ -62,7 +77,7 @@ class LinearProgram:
     ):
         if sense not in ("max", "min"):
             raise MalformedProgram(f"sense must be 'max' or 'min', got {sense!r}")
-        vars_packed = tuple((str(n), s) for n, s in variables)
+        vars_packed = tuple([(str(n), s) for n, s in variables])  # see _lcm_of_denominators
         for name, sign in vars_packed:
             if sign not in (NONNEG, FREE):
                 raise MalformedProgram(f"variable {name!r} has unknown sign {sign!r}")
@@ -206,8 +221,56 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     return LinearProgram("min" if is_max else "max", dual_vars, objective, constraints)
 
 
+def _lcm_of_denominators(values: Iterable[Rational]) -> int:
+    # A list, not a generator: unpacking a generator builds its argument
+    # tuple by resizing, and the interpreter then parks one tuple per call on
+    # the free list of the final size, which grows peak memory.
+    return math.lcm(*[int(v.denominator) for v in values])
+
+
+def _numerator_over(value: Rational, den: int) -> int:
+    """The integer ``n`` with ``n / den == value``; ``den`` is a multiple of its denominator."""
+    return int(value.numerator) * (den // int(value.denominator))
+
+
+def _eliminate(
+    other: list[int], den: int, row: list[int], support: list[int], p: int, f: int
+) -> tuple[list[int], int]:
+    """``other/den - (f/den) * row/p`` in lowest common-denominator form.
+
+    ``row/p`` is a pivot row whose entry in the eliminated column is one
+    (``row[c] == p``), ``support`` lists its nonzero positions, and ``f`` is
+    ``other``'s numerator in that column, so the result is zero there.
+    """
+    q = math.gcd(f, p)
+    if q > 1:
+        f //= q
+        p //= q
+    if p == 1:
+        new = other[:]
+    else:
+        new = [o * p for o in other]
+        den *= p
+    for k in support:
+        new[k] -= f * row[k]
+    if den > 1:
+        g = math.gcd(den, *new)
+        if g > 1:
+            new = [v // g for v in new]
+            den //= g
+    return new, den
+
+
 class _Tableau:
-    """Dense two-phase simplex working state."""
+    """Dense two-phase simplex working state.
+
+    Row ``i`` holds the rationals ``rows[i][k] / dens[i]``: Python ints over
+    one positive denominator per row, with no factor common to the whole
+    row, so ``dens[i]`` is the least common denominator of its entries.
+    The objective row is ``objrow[k] / objden`` in the same form.  Signs
+    and ratio-test comparisons read the integers directly; rationals are
+    rebuilt only when the primal and dual vectors are extracted.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -223,27 +286,19 @@ class _Tableau:
                 ncols += 2
         self.n_struct = ncols
 
+        # Standardize every row to rhs >= 0: ">=" rows are negated into "<="
+        # form, and "<=" or "=" rows with a negative rhs are negated.
         m = len(lp.constraints)
-        dense_rows: list[list[Rational]] = []
-        rhs: list[Rational] = []
         self.row_scale: list[Rational] = []  # multiplier that standardized row i
         kinds: list[str] = []  # "slack" (kept <=) | "tight" (>= or =, rhs >= 0)
-        for row, relation, b in lp.constraints:
-            a = [ZERO] * self.n_struct
-            for j, c in row:
-                pos, neg = self.col_of_var[j]
-                a[pos] += c
-                if neg is not None:
-                    a[neg] -= c
+        for _, relation, b in lp.constraints:
             scale = ONE
             if relation == GE:
-                a, b, scale, relation = [-c for c in a], -b, -scale, LE
+                b, scale, relation = -b, -scale, LE
             if relation == LE and b < 0:
-                a, b, scale, relation = [-c for c in a], -b, -scale, GE
+                scale, relation = -scale, GE
             if relation == EQ and b < 0:
-                a, b, scale = [-c for c in a], -b, -scale
-            dense_rows.append(a)
-            rhs.append(b)
+                scale = -scale
             self.row_scale.append(scale)
             kinds.append("slack" if relation == LE else "tight")
 
@@ -263,58 +318,77 @@ class _Tableau:
         self.ncols = col
         self.artificial_cols = {c for c in art_of_row if c is not None}
 
-        self.rows: list[list[Rational]] = []
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
         self.basis: list[int] = []
         self.row_of_orig: list[int] = list(range(m))  # tableau row -> original row
         self.id_col: list[int] = [0] * m  # original row -> its identity column
-        for i in range(m):
-            full = dense_rows[i] + [ZERO] * (self.ncols - self.n_struct) + [rhs[i]]
+        for i, (row, _, b) in enumerate(lp.constraints):
+            den = _lcm_of_denominators([b] + [c for _, c in row])
+            sign = 1 if self.row_scale[i] > 0 else -1
+            nums = [0] * (self.ncols + 1)
+            for j, c in row:
+                v = sign * _numerator_over(c, den)
+                pos, neg = self.col_of_var[j]
+                nums[pos] = v
+                if neg is not None:
+                    nums[neg] = -v
+            nums[self.ncols] = sign * _numerator_over(b, den)
             aux = aux_of_row[i]
             if aux is not None:
-                full[aux] = ONE if kinds[i] == "slack" else -ONE
+                nums[aux] = den if kinds[i] == "slack" else -den
             art = art_of_row[i]
             if art is not None:
-                full[art] = ONE
+                nums[art] = den
                 self.basis.append(art)
                 self.id_col[i] = art
             else:
                 assert aux is not None
                 self.basis.append(aux)
                 self.id_col[i] = aux
-            self.rows.append(full)
-        self.objrow: list[Rational] = []
+            self.rows.append(nums)
+            self.dens.append(den)
+        self.objrow: list[int] = []
+        self.objden = 1
 
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, c: int) -> None:
+        # Dividing row r by its pivot entry leaves numerators ``row`` over
+        # denominator ``row[c]``, made positive and reduced to lowest terms.
         row = self.rows[r]
-        piv = row[c]
-        if piv != ONE:
-            inv = ONE / piv
-            self.rows[r] = row = [v * inv for v in row]
-        width = self.ncols + 1
-        nonzero = [k for k in range(width) if row[k] != 0]
-        for other in self.rows:
-            if other is not row:
-                f = other[c]
-                if f != 0:
-                    for k in nonzero:
-                        other[k] -= f * row[k]
+        p = row[c]
+        if p < 0:
+            row = [-v for v in row]
+            p = -p
+        g = math.gcd(*row)
+        if g > 1:
+            row = [v // g for v in row]
+            p //= g
+        self.rows[r] = row
+        self.dens[r] = p
+        support = [k for k, v in enumerate(row) if v]
+        for i, other in enumerate(self.rows):
+            f = other[c]
+            if f and i != r:
+                self.rows[i], self.dens[i] = _eliminate(other, self.dens[i], row, support, p, f)
         f = self.objrow[c]
-        if f != 0:
-            for k in nonzero:
-                self.objrow[k] -= f * row[k]
+        if f:
+            self.objrow, self.objden = _eliminate(self.objrow, self.objden, row, support, p, f)
         self.basis[r] = c
 
     def _set_objective(self, cost: list[Rational]) -> None:
-        self.objrow = list(cost) + [ZERO]
+        den = _lcm_of_denominators(cost)
+        self.objrow = [_numerator_over(v, den) for v in cost] + [0]
+        self.objden = den
         for r, b in enumerate(self.basis):
-            cb = self.objrow[b]
-            if cb != 0:
+            f = self.objrow[b]
+            if f:
                 row = self.rows[r]
-                for k in range(self.ncols + 1):
-                    if row[k] != 0:
-                        self.objrow[k] -= cb * row[k]
+                support = [k for k, v in enumerate(row) if v]
+                self.objrow, self.objden = _eliminate(
+                    self.objrow, self.objden, row, support, self.dens[r], f
+                )
 
     def _iterate(self, banned: set[int]) -> str:
         """Bland's rule on a minimization tableau until optimal or unbounded."""
@@ -326,19 +400,20 @@ class _Tableau:
                     break
             if enter < 0:
                 return OPTIMAL
+            # A row's ratio rhs/a is the ratio of its numerators, the shared
+            # denominator cancelling; compare ratios by cross-multiplication.
             leave = -1
-            best = None
+            best_b = best_a = 0
             for r, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[self.ncols] / a
+                    b = row[self.ncols]
                     if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leave])
+                        leave < 0
+                        or b * best_a < best_b * a
+                        or (b * best_a == best_b * a and self.basis[r] < self.basis[leave])
                     ):
-                        best = ratio
-                        leave = r
+                        best_b, best_a, leave = b, a, r
             if leave < 0:
                 return UNBOUNDED
             self._pivot(leave, enter)
@@ -359,11 +434,12 @@ class _Tableau:
         if self.artificial_cols:
             phase1 = [ONE if c in self.artificial_cols else ZERO for c in range(self.ncols)]
             self._set_objective(phase1)
-            status = self._iterate(banned=set())
-            assert status == OPTIMAL, "phase 1 cannot be unbounded"
-            if -self.objrow[self.ncols] != 0:
+            if self._iterate(banned=set()) != OPTIMAL:
+                raise CertificateError("phase 1 reported an unbounded auxiliary program")
+            if self.objrow[self.ncols] != 0:
                 farkas = self._extract_duals(phase1_duals=True)
-                assert farkas_valid(lp, farkas), "internal error: invalid Farkas certificate"
+                if not farkas_valid(lp, farkas):
+                    raise CertificateError("invalid Farkas certificate")
                 return LpSolution(status=INFEASIBLE, farkas=tuple(farkas))
             self._purge_artificials()
 
@@ -374,9 +450,12 @@ class _Tableau:
         x = self._extract_primal()
         y = self._extract_duals(phase1_duals=False)
         value = lp.objective_value(x)
-        assert primal_feasible(lp, x), "internal error: simplex primal infeasible"
-        assert dual_feasible(lp, y), "internal error: simplex dual infeasible"
-        assert dual_objective(lp, y) == value, "internal error: strong duality violated"
+        if not primal_feasible(lp, x):
+            raise CertificateError("simplex primal point is infeasible")
+        if not dual_feasible(lp, y):
+            raise CertificateError("simplex dual multipliers are infeasible")
+        if dual_objective(lp, y) != value:
+            raise CertificateError("strong duality violated")
         return LpSolution(status=OPTIMAL, value=value, primal=tuple(x), dual=tuple(y))
 
     def _purge_artificials(self) -> None:
@@ -392,6 +471,7 @@ class _Tableau:
                         break
                 if pivot_col < 0:
                     del self.rows[r]
+                    del self.dens[r]
                     del self.basis[r]
                     del self.row_of_orig[r]
                     continue
@@ -401,7 +481,7 @@ class _Tableau:
     def _extract_primal(self) -> list[Rational]:
         vals = [ZERO] * self.ncols
         for r, b in enumerate(self.basis):
-            vals[b] = self.rows[r][self.ncols]
+            vals[b] = rat(self.rows[r][self.ncols], self.dens[r])
         x = []
         for pos, neg in self.col_of_var:
             x.append(vals[pos] - (vals[neg] if neg is not None else ZERO))
@@ -421,7 +501,7 @@ class _Tableau:
             if orig not in present:
                 continue
             col = self.id_col[orig]
-            reduced = self.objrow[col]
+            reduced = rat(self.objrow[col], self.objden)
             col_cost = ONE if (phase1_duals and col in self.artificial_cols) else ZERO
             y[orig] = self.row_scale[orig] * (col_cost - reduced)
         if not phase1_duals and self.lp.sense == "max":

@@ -1,10 +1,12 @@
 """Exact rational numbers and their text renderings.
 
 Every quantity in this package is an exact rational; floats never enter any
-computation.  The backing type is ``gmpy2.mpq`` when available (much faster
-pivoting in the LP solver) and ``fractions.Fraction`` otherwise.  Both store
-lowest-terms numerator/denominator with a positive denominator and give exact
-``+ - * /``.
+computation.  The backing type is ``gmpy2.mpq`` when available and
+``fractions.Fraction`` otherwise.  Both store lowest-terms
+numerator/denominator with a positive denominator and give exact ``+ - * /``.
+The LP solver's pivot loop works on Python integers and does not use this
+type; it enters only where programs are built, answers are read back and
+certificates are checked.
 """
 
 from __future__ import annotations

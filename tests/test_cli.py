@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,3 +226,36 @@ def test_printed_fractions_reparse(capsys):
     for line in out.strip().splitlines():
         token = line.split()[-1]
         assert str(rat(token)) == token
+
+
+def test_certificate_error_survives_optimize(tmp_path):
+    # Negative control: with the dual check forced to fail, ``solve`` must
+    # refuse its answer and the CLI must exit 6, even under ``python -O``,
+    # which strips every assert statement.
+    script = tmp_path / "sabotage.py"
+    script.write_text(
+        "import sys\n"
+        "import medburn.lp as lp\n"
+        "from medburn.cli import EXIT_CERTIFICATE, main\n"
+        "assert False, 'assert statements are live: this run does not test -O'\n"
+        "lp.dual_feasible = lambda program, y: False\n"
+        "program = lp.LinearProgram('max', [('x', lp.NONNEG)], {0: 1}, [({0: 1}, '<=', 3)])\n"
+        "try:\n"
+        "    lp.solve(program)\n"
+        "except lp.CertificateError as exc:\n"
+        "    print('solve raised', exc)\n"
+        "else:\n"
+        "    sys.exit('solve returned an uncertified answer')\n"
+        f"code = main(['values', {str(GAMES / 'salesman.json')!r}])\n"
+        "print('exit', code)\n"
+        "sys.exit(0 if code == EXIT_CERTIFICATE else 1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "solve raised simplex dual multipliers are infeasible" in proc.stdout
+    assert "exit 6" in proc.stdout
+    assert "certificate error: simplex dual multipliers are infeasible" in proc.stderr

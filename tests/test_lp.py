@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from medburn.lp import (
     primal_feasible,
     solve,
 )
-from medburn.rational import rat
+from medburn.rational import format_fraction, rat
+
+PINNED_VERTEX_DIGEST = "387f665eec5e11fc15b6f5c722bfa21b37d587e63a173bbcecc51ff64ccc6cdd"
 
 
 def test_simple_bounded_max():
@@ -184,3 +187,100 @@ def test_dual_round_trip_on_random_lps():
         assert dual_sol.status == OPTIMAL
         assert dual_sol.value == sol.value
         checked += 1
+
+
+def _random_rational_lp(rng, box):
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 6)
+    sense = rng.choice(["max", "min"])
+    variables = [(f"x{j}", rng.choice([NONNEG, NONNEG, FREE])) for j in range(n)]
+    objective = {j: frac(-5, 5) for j in range(n)}
+    constraints = [
+        ({j: frac(-4, 4) for j in range(n)}, rng.choice(["<=", "=", ">="]), frac(-6, 6))
+        for _ in range(m)
+    ]
+    if box:
+        for j in range(n):
+            constraints.append(({j: 1}, "<=", frac(1, 10)))
+            constraints.append(({j: 1}, ">=", -frac(1, 10)))
+    return LinearProgram(sense, variables, objective, constraints)
+
+
+def _certify_unbounded(lp):
+    """Unbounded exactly when the program is feasible and its dual is not."""
+    feasibility = LinearProgram(lp.sense, lp.variables, {}, [
+        (dict(row), relation, rhs) for row, relation, rhs in lp.constraints
+    ])
+    assert solve(feasibility).status == OPTIMAL
+    dual = dual_program(lp)
+    dual_sol = solve(dual)
+    assert dual_sol.status == INFEASIBLE
+    assert farkas_valid(dual, dual_sol.farkas)
+
+
+def test_rational_coefficients_with_and_without_box():
+    rng = random.Random(20240611)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for trial in range(240):
+        lp = _random_rational_lp(rng, box=trial % 2 == 0)
+        sol = solve(lp)
+        ref = _scipy_solve(lp)
+        seen[sol.status] += 1
+        if sol.status == OPTIMAL:
+            assert ref.status == 0
+            ours = float(sol.value)
+            target = -ref.fun if lp.sense == "max" else ref.fun
+            assert abs(ours - target) < 1e-9 * max(1.0, abs(ours))
+            assert primal_feasible(lp, sol.primal)
+            assert dual_feasible(lp, sol.dual)
+            assert dual_objective(lp, sol.dual) == sol.value
+        elif sol.status == INFEASIBLE:
+            assert ref.status == 2
+            assert farkas_valid(lp, sol.farkas)
+        else:
+            assert ref.status == 3
+            _certify_unbounded(lp)
+    assert min(seen.values()) >= 1, seen
+
+
+def _vertex_text(sol):
+    def vec(values):
+        return "-" if values is None else ",".join(format_fraction(v) for v in values)
+
+    value = "-" if sol.value is None else format_fraction(sol.value)
+    return "|".join((sol.status, value, vec(sol.primal), vec(sol.dual), vec(sol.farkas)))
+
+
+def test_returned_vertices_are_pinned():
+    # The digest pins the exact answer Bland's rule returns on every program
+    # below: which optimal vertex, which dual, which Farkas combination.  A
+    # change of pricing may legitimately move it; such a change must update
+    # the digest knowingly, after checking that the new answers still verify.
+    programs = [
+        LinearProgram(
+            "max",
+            [("a", NONNEG), ("b", NONNEG)],
+            {0: 1, 1: 2},
+            [({0: 1, 1: 1}, "=", 1), ({0: 2, 1: 2}, "=", 2), ({0: 1}, "<=", rat(1, 2))],
+        ),
+        LinearProgram(
+            "max",
+            [("a", NONNEG), ("b", NONNEG), ("c", NONNEG)],
+            {0: 1, 1: 1, 2: 2},
+            [
+                ({0: 1, 1: 1, 2: 1}, "=", 1),
+                ({0: 1}, "<=", rat(1, 2)),
+                ({1: 1, 2: 1}, ">=", rat(1, 4)),
+            ],
+        ),
+    ]
+    rng = random.Random(31337)
+    programs += [_random_lp(rng) for _ in range(150)]
+    programs += [_random_rational_lp(rng, box=k % 2 == 0) for k in range(150)]
+    programs += [dual_program(lp) for lp in programs[:40]]
+    text = "\n".join(_vertex_text(solve(lp)) for lp in programs)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_VERTEX_DIGEST
