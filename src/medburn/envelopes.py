@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import Belief, PosteriorDistribution, SubjectivePrior
 from .geometry import PiecewiseValueStructure
-from .lp import EQ, FREE, LE, NONNEG, OPTIMAL, LinearProgram, solve
+from .lp import EQ, FREE, LE, NONNEG, OPTIMAL, CertificateError, LinearProgram, solve
 from .rational import ONE, ZERO, Rational, rat
 
 MAX_BRANCH = "max"
@@ -144,7 +144,8 @@ def _extract_atoms(
         if mass == 0:
             continue
         belief = Belief([v / mass for v in z])
-        assert structure.pieces[k].region.contains(belief), "atom left its piece"
+        if not structure.pieces[k].region.contains(belief):
+            raise CertificateError("atom left its piece")
         atoms.append(DecompositionAtom(belief, mass, k, branch, coeff))
     return _merge_atoms(atoms)
 
@@ -177,8 +178,10 @@ def _check_result(
         for t in range(n):
             totals[t] += a.weight * a.belief[t]
         recombined += a.weight * subjective_weight(lam, structure.prior, a.belief) * a.value
-    assert tuple(totals) == structure.prior.weights, "decomposition is not Bayes-plausible"
-    assert recombined == result.value, "decomposition does not re-evaluate to the value"
+    if tuple(totals) != structure.prior.weights:
+        raise CertificateError("decomposition is not Bayes-plausible")
+    if recombined != result.value:
+        raise CertificateError("decomposition does not re-evaluate to the value")
 
 
 def concavify_weighted(query: WeightedEnvelopeQuery) -> EnvelopeResult:
@@ -199,11 +202,13 @@ def concavify_weighted(query: WeightedEnvelopeQuery) -> EnvelopeResult:
     variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
     lp = LinearProgram("max", variables, objective, mass + cone)
     sol = solve(lp)
-    assert sol.status == OPTIMAL, f"envelope LP came back {sol.status}"
+    if sol.status != OPTIMAL:
+        raise CertificateError(f"envelope LP came back {sol.status}")
     atoms = _extract_atoms(structure, blocks, sol.primal)
     if query.branch_mode == MAX_ONLY:
         atoms = _caratheodory_reduce(structure, query.lam, atoms, sol.value)
-        assert len(atoms) <= n + 1, "max-only decomposition exceeds the Caratheodory bound"
+        if len(atoms) > n + 1:
+            raise CertificateError("max-only decomposition exceeds the Caratheodory bound")
     result = EnvelopeResult(sol.value, atoms)
     _check_result(structure, query.lam, result)
     return result
@@ -240,7 +245,8 @@ def _caratheodory_reduce(
         cons,
     )
     sol = solve(lp)
-    assert sol.status == OPTIMAL, "reduction LP must stay feasible"
+    if sol.status != OPTIMAL:
+        raise CertificateError("reduction LP must stay feasible")
     kept = [
         DecompositionAtom(a.belief, w, a.piece, a.branch, a.value)
         for a, w in zip(atoms, sol.primal)
@@ -294,11 +300,13 @@ def worst_prior_envelope(
 
     lp = LinearProgram("max", variables, {eta: ONE}, mass + payoff + cone)
     sol = solve(lp)
-    assert sol.status == OPTIMAL, f"worst-prior LP came back {sol.status}"
+    if sol.status != OPTIMAL:
+        raise CertificateError(f"worst-prior LP came back {sol.status}")
     lam_weights = [sol.dual[n + t] for t in range(n)]
-    assert sum(lam_weights, ZERO) == ONE, "payoff-row multipliers must sum to 1"
-    if domain == "simplex":
-        assert all(w >= 0 for w in lam_weights), "simplex multipliers must be nonnegative"
+    if sum(lam_weights, ZERO) != ONE:
+        raise CertificateError("payoff-row multipliers must sum to 1")
+    if domain == "simplex" and any(w < 0 for w in lam_weights):
+        raise CertificateError("simplex multipliers must be nonnegative")
     lam = SubjectivePrior(lam_weights, domain=domain)
     atoms = _extract_atoms(structure, blocks, sol.primal)
     envelope = EnvelopeResult(sol.value, atoms)
@@ -321,4 +329,4 @@ def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:
         variables, mass, cone = _cone_blocks(structure, qualifying)
         if solve(LinearProgram("max", variables, {}, mass + cone)).status == OPTIMAL:
             return level
-    raise AssertionError("piece regions failed to cover the simplex")
+    raise CertificateError("piece regions failed to cover the simplex")

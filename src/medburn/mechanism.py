@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 
 from .core import Belief, PersuasionGame, PosteriorDistribution, restrict_to_support
 from .geometry import best_responses, value_interval
+from .lp import CertificateError
 from .rational import ONE, ZERO, Rational, RationalLike, rat
 
 
@@ -179,7 +180,8 @@ def construct_optimal_mdmb(
 
     mech = CanonicalMDMB(tuple(beliefs), tuple(tuple(r) for r in pi), tuple(burns), vals)
     validate_mechanism(game, mech)
-    assert all(v == floor for v in net_payoffs(game, mech)), "construction must equalize payoffs"
+    if any(v != floor for v in net_payoffs(game, mech)):
+        raise CertificateError("construction must equalize payoffs")
     return mech
 
 
@@ -451,5 +453,6 @@ def canonicalize(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> Cano
             (pm * _report_payoff(game, raw, assess, m) for m, pm in assess.sigma_of(t_label).items()),
             ZERO,
         )
-        assert nets[i] == direct, "canonical form must preserve per-type payoffs"
+        if nets[i] != direct:
+            raise CertificateError("canonical form must preserve per-type payoffs")
     return mech

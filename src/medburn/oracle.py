@@ -12,6 +12,14 @@ slopes.
 
 Candidate decompositions depend only on the structure and the grid, never on
 the reweighting, so they are built once and reused across reweightings.
+
+The arithmetic is exact and runs on Python integers.  Grid points (and the
+prior) carry integer coordinates over one common denominator, value bounds
+integer numerators over another; each reweighting (and budget) turns the
+pointwise values into integer numerators over one denominator per
+(structure, grid, reweighting, budget).  Candidates carry integer barycentric
+weights from Cramer's rule, chords and candidate values are compared by
+cross-multiplication, and a rational is built once, where a bound is returned.
 """
 
 from __future__ import annotations
@@ -19,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Belief, PersuasionGame, SubjectivePrior, restrict_to_support
 from .geometry import PiecewiseValueStructure, compile_pieces
@@ -89,45 +98,93 @@ def grid_beliefs(dim: int, resolution: int) -> tuple[Belief, ...]:
     raise TooManyTypes(f"grids support at most 3 types, got {dim}")
 
 
+class _GridTable(NamedTuple):
+    """Grid points, and an off-grid prior, in integer form.
+
+    Point ``i`` has weight ``coords[i][t] / scale`` on type ``t``, achievable
+    values between ``lo[i] / vden`` and ``hi[i] / vden``, and lies in
+    ``cover[i]`` pieces.
+    """
+
+    coords: tuple[tuple[int, ...], ...]
+    scale: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    vden: int
+    cover: tuple[int, ...]
+    prior_idx: int
+
+
+def _over(value: Rational, den: int) -> int:
+    """Numerator of ``value`` over ``den``, a multiple of its denominator."""
+    return int(value.numerator) * (den // int(value.denominator))
+
+
 @lru_cache(maxsize=64)
-def _grid_table(structure: PiecewiseValueStructure, resolution: int):
-    """Per grid point: weights, payoff shares against the prior, value interval.
+def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTable:
+    """Integer coordinates, value bounds and piece coverage per grid point.
 
     The prior itself is appended when off-grid, so index ``prior_idx`` always
     exists.
     """
     points = list(grid_beliefs(structure.dim, resolution))
-    index = {mu.weights: i for i, mu in enumerate(points)}
-    if structure.prior.weights not in index:
-        index[structure.prior.weights] = len(points)
+    scale = lcm(resolution, *[int(w.denominator) for w in structure.prior.weights])
+    coords = [tuple(_over(w, scale) for w in mu.weights) for mu in points]
+    prior = tuple(_over(w, scale) for w in structure.prior.weights)
+    index = {k: i for i, k in enumerate(coords)}
+    if prior not in index:
+        index[prior] = len(points)
         points.append(structure.prior)
-    entries = []
+        coords.append(prior)
+    pieces = structure.pieces
+    lo, hi, cover = [], [], []
     for mu in points:
-        shares = tuple(mu[t] / structure.prior[t] for t in range(structure.dim))
-        lo, hi = structure.interval_at(mu)
-        entries.append((mu.weights, shares, lo, hi))
-    return tuple(entries), index[structure.prior.weights]
+        covering = structure.pieces_at(mu)
+        if not covering:
+            raise ValueError(f"no piece covers belief {mu}")
+        lo.append(min(pieces[i].vmin for i in covering))
+        hi.append(max(pieces[i].vmax for i in covering))
+        cover.append(len(covering))
+    vden = lcm(*[int(v.denominator) for v in lo + hi])
+    return _GridTable(
+        tuple(coords),
+        scale,
+        tuple(_over(v, vden) for v in lo),
+        tuple(_over(v, vden) for v in hi),
+        vden,
+        tuple(cover),
+        index[prior],
+    )
 
 
 def _pointwise_values(
     structure: PiecewiseValueStructure,
     lam: SubjectivePrior,
     budget: Rational | None,
-    entries,
-) -> list[Rational]:
-    n = structure.dim
-    lam_w = [lam[t] for t in range(n)]
-    out = []
-    for _, shares, lo, hi in entries:
-        w = ZERO
-        for t in range(n):
-            if lam_w[t] != 0 and shares[t] != 0:
-                w += lam_w[t] * shares[t]
-        if budget is None:
-            out.append(w * hi)
-        else:
-            out.append(max(w * hi, w * (lo - budget)))
-    return out
+    table: _GridTable,
+) -> tuple[list[int], int]:
+    """Value numerators at every table point, over one returned denominator.
+
+    The reweighted value at ``mu`` is ``w * hi``, or ``max(w * hi, w * (lo - b))``
+    under budget ``b``, with ``w = sum_t lam_t * mu_t / p_t``.  Writing
+    ``lam_t / p_t = c_t / C`` makes ``C * scale * w = sum_t c_t * k_t`` an
+    integer for integer coordinates ``k``; ``w`` may be negative.
+    """
+    ratios = [lam[t] / structure.prior[t] for t in range(structure.dim)]
+    c_den = lcm(*[int(r.denominator) for r in ratios])
+    c = [_over(r, c_den) for r in ratios]
+    ws = [sum(map(mul, c, k)) for k in table.coords]
+    den = c_den * table.scale * table.vden
+    if budget is None:
+        return [w * h for w, h in zip(ws, table.hi)], den
+    b = rat(budget)
+    b_den = int(b.denominator)
+    shift = int(b.numerator) * table.vden
+    vals = [
+        max(w * (h * b_den), w * (lo * b_den - shift))
+        for w, lo, h in zip(ws, table.lo, table.hi)
+    ]
+    return vals, den * b_den
 
 
 def lipschitz_slack(
@@ -149,99 +206,93 @@ def lipschitz_slack(
 
 @lru_cache(maxsize=64)
 def _candidates(structure: PiecewiseValueStructure, resolution: int, seed: int, restarts: int):
-    """Weighted index combinations that exactly rebuild the prior (3 types)."""
-    entries, prior_idx = _grid_table(structure, resolution)
-    index = {e[0]: i for i, e in enumerate(entries)}
-    prior = structure.prior
-    out: list[tuple[tuple[int, ...], tuple[Rational, ...]]] = []
+    """Index combinations with integer barycentric weights that exactly
+    rebuild the prior (3 types).
+
+    Each candidate is ``(combo, weights, delta)`` with nonnegative weights and
+    ``delta > 0``: ``sum_k weights[k] * point[combo[k]] == delta * prior``.
+    """
+    table = _grid_table(structure, resolution)
+    coords, prior_idx = table.coords, table.prior_idx
+    prior = coords[prior_idx]
+    index = {k: i for i, k in enumerate(coords)}
+    out: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
 
     # Exhaustive collinear pairs, walking the exact ray from each grid point
     # through the prior; needs the prior itself on the grid.
-    n = resolution
-    if all((w * n).denominator == 1 for w in prior.weights):
-        for i, (weights, _, _, _) in enumerate(entries):
+    step = table.scale // resolution
+    if all(v % step == 0 for v in prior):
+        for i, k in enumerate(coords):
             if i == prior_idx:
                 continue
-            d = [prior.weights[t] - weights[t] for t in range(3)]
-            dn = [int(v * n) for v in d]
+            d = [prior[t] - k[t] for t in range(3)]
             g = 0
-            for v in dn:
-                g = gcd(g, abs(v))
+            for v in d:
+                g = gcd(g, v // step)
             if g == 0:
                 continue
+            d = [v // g for v in d]
             j = 1
             while True:
-                s = rat(j, g)
-                b = tuple(prior.weights[t] + s * d[t] for t in range(3))
+                b = tuple(prior[t] + j * d[t] for t in range(3))
                 if any(v < 0 for v in b):
                     break
                 other = index.get(b)
                 if other is not None:
-                    wb = ONE / (ONE + s)
-                    out.append(((i, other), (ONE - wb, wb)))
+                    # prior = (j * point_i + g * point_other) / (g + j)
+                    out.append(((i, other), (j, g), g + j))
                 j += 1
 
-    pool = _boundary_pool(structure, resolution, index)
+    pool = _boundary_pool(structure, resolution, table, index)
     for combo in combinations(pool, 3):
-        w = _solve_triple(prior, [entries[i][0] for i in combo])
+        w = _barycentric(prior, *(coords[i] for i in combo))
         if w is not None:
-            out.append((combo, w))
+            out.append((combo, *w))
 
     rng = Random(seed)
-    all_idx = list(range(len(entries)))
+    all_idx = list(range(len(coords)))
     for _ in range(restarts):
         combo = tuple(rng.sample(all_idx, 3))
-        w = _solve_triple(prior, [entries[i][0] for i in combo])
+        w = _barycentric(prior, *(coords[i] for i in combo))
         if w is not None:
-            out.append((combo, w))
+            out.append((combo, *w))
     return tuple(out)
 
 
-def _boundary_pool(structure, resolution, index) -> list[int]:
-    pool = []
-    for mu in grid_beliefs(structure.dim, resolution):
-        if len(structure.pieces_at(mu)) >= 2:
-            pool.append(index[mu.weights])
+def _boundary_pool(structure, resolution, table: _GridTable, index) -> list[int]:
+    n_grid = len(grid_beliefs(structure.dim, resolution))
+    pool = [i for i in range(n_grid) if table.cover[i] >= 2]
     if len(pool) > _POOL_CAP:
         step = len(pool) / _POOL_CAP
         pool = [pool[int(i * step)] for i in range(_POOL_CAP)]
-    extras = [Belief.degenerate(structure.dim, t) for t in range(structure.dim)]
-    extras.append(structure.prior)
-    for mu in extras:
-        i = index[mu.weights]
+    dim, scale = structure.dim, table.scale
+    extras = [index[tuple(scale if j == t else 0 for j in range(dim))] for t in range(dim)]
+    extras.append(table.prior_idx)
+    for i in extras:
         if i not in pool:
             pool.append(i)
     return pool
 
 
-def _solve_triple(prior: Belief, triple) -> tuple[Rational, ...] | None:
-    """Exact barycentric weights of the prior in a 3-point set, or None."""
-    a, b, c = triple
-    m = [
-        [a[0], b[0], c[0], prior[0]],
-        [a[1], b[1], c[1], prior[1]],
-        [ONE, ONE, ONE, ONE],
-    ]
-    for col in range(3):
-        piv = None
-        for r in range(col, 3):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = ONE / m[col][col]
-        if inv != ONE:
-            m[col] = [v * inv for v in m[col]]
-        for r in range(3):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    w = (m[0][3], m[1][3], m[2][3])
-    if any(v < 0 for v in w):
+def _barycentric(p, a, b, c) -> tuple[tuple[int, int, int], int] | None:
+    """Integer weights ``(n_a, n_b, n_c)`` and ``delta > 0`` with
+    ``n_a * a + n_b * b + n_c * c == delta * p`` and ``n_a + n_b + n_c == delta``,
+    by Cramer's rule on the first two coordinates; None when the points are
+    collinear or the prior lies outside their triangle."""
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = c[0] - a[0], c[1] - a[1]
+    px, py = p[0] - a[0], p[1] - a[1]
+    delta = ux * vy - uy * vx
+    if delta == 0:
         return None
-    return w
+    n_b = px * vy - py * vx
+    n_c = ux * py - uy * px
+    if delta < 0:
+        delta, n_b, n_c = -delta, -n_b, -n_c
+    n_a = delta - n_b - n_c
+    if n_a < 0 or n_b < 0 or n_c < 0:
+        return None
+    return (n_a, n_b, n_c), delta
 
 
 def grid_concavify(
@@ -262,26 +313,27 @@ def grid_concavify(
         raise TooManyTypes("concavification oracle supports at most 3 types")
     if budget is None and lam.domain != "simplex":
         raise ValueError("unlimited-budget oracle needs a simplex reweighting")
-    entries, prior_idx = _grid_table(structure, grid.resolution)
-    vals = _pointwise_values(structure, lam, budget, entries)
-    best = vals[prior_idx]
-    if dim == 1:
-        return best
+    table = _grid_table(structure, grid.resolution)
+    vals, den = _pointwise_values(structure, lam, budget, table)
+    # the best value so far is best / (best_den * den)
+    best, best_den = vals[table.prior_idx], 1
     if dim == 2:
-        return max(best, _hull_value_at(entries, vals, structure.prior))
-    for combo, weights in _candidates(structure, grid.resolution, seed, restarts):
-        v = sum((w * vals[i] for i, w in zip(combo, weights)), ZERO)
-        if v > best:
-            best = v
-    return best
+        num, hull_den = _hull_value_at(table, vals)
+        if num > best * hull_den:
+            best, best_den = num, hull_den
+    elif dim == 3:
+        for combo, weights, delta in _candidates(structure, grid.resolution, seed, restarts):
+            v = sum(map(mul, weights, map(vals.__getitem__, combo)))
+            if v * best_den > best * delta:
+                best, best_den = v, delta
+    return rat(best, best_den * den)
 
 
-def _hull_value_at(entries, vals, prior: Belief) -> Rational:
-    """Exact upper-concave-hull interpolation at the prior (two types)."""
-    pts = sorted(
-        ((weights[0], v) for (weights, _, _, _), v in zip(entries, vals)),
-    )
-    hull: list[tuple[Rational, Rational]] = []
+def _hull_value_at(table: _GridTable, vals: list[int]) -> tuple[int, int]:
+    """Exact upper-concave-hull interpolation at the prior (two types), as a
+    numerator and a multiplier of the values' denominator."""
+    pts = sorted(zip((k[0] for k in table.coords), vals))
+    hull: list[tuple[int, int]] = []
     for p in pts:
         if hull and hull[-1][0] == p[0]:
             if p[1] > hull[-1][1]:
@@ -296,13 +348,13 @@ def _hull_value_at(entries, vals, prior: Belief) -> Rational:
             else:
                 break
         hull.append(p)
-    x0 = prior[0]
+    x0 = table.coords[table.prior_idx][0]
     if x0 <= hull[0][0]:
-        return hull[0][1]
+        return hull[0][1], 1
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= x0 <= x2:
-            return y1 + (y2 - y1) * (x0 - x1) / (x2 - x1)
-    return hull[-1][1]
+            return y1 * (x2 - x1) + (y2 - y1) * (x0 - x1), x2 - x1
+    return hull[-1][1], 1
 
 
 def grid_min_lambda(
@@ -334,14 +386,14 @@ def grid_qcav_binary(structure: PiecewiseValueStructure, grid: GridSpec) -> Rati
     grid points straddle the prior."""
     if structure.dim != 2:
         raise TooManyTypes("grid quasi-concavification implemented for 2 types")
-    entries, prior_idx = _grid_table(structure, grid.resolution)
-    x0 = structure.prior[0]
-    points = [(weights[0], hi) for weights, _, _, hi in entries]
-    for level in sorted({v for _, v in points}, reverse=True):
+    table = _grid_table(structure, grid.resolution)
+    x0 = table.coords[table.prior_idx][0]
+    points = [(k[0], hi) for k, hi in zip(table.coords, table.hi)]
+    for level in sorted(set(table.hi), reverse=True):
         left = any(x <= x0 and v >= level for x, v in points)
         right = any(x >= x0 and v >= level for x, v in points)
         if left and right:
-            return level
+            return rat(level, table.vden)
     raise AssertionError("some level must be feasible")
 
 

@@ -33,7 +33,7 @@ from .envelopes import (
     worst_prior_envelope,
 )
 from .geometry import PiecewiseValueStructure, compile_pieces, value_interval
-from .lp import EQ, FREE, GE, LinearProgram, OPTIMAL, solve
+from .lp import EQ, FREE, GE, OPTIMAL, CertificateError, LinearProgram, solve
 from .rational import ONE, ZERO, Rational, RationalLike, rat
 
 
@@ -132,9 +132,8 @@ def value_mdmb_structure(
 ) -> tuple[Rational, SaddleCertificate]:
     result = worst_prior_envelope(structure, None, "simplex")
     cert = _certificate(structure, result.value, result.lam, result.envelope)
-    assert min(cert.per_type_payoffs) == result.value, (
-        "optimal scheme's worst type payoff must equal the protocol value"
-    )
+    if min(cert.per_type_payoffs) != result.value:
+        raise CertificateError("optimal scheme's worst type payoff must equal the protocol value")
     return result.value, cert
 
 
@@ -244,7 +243,8 @@ def _min_affine_payoff(
         (f"s{i}", FREE) for i in range(len(atoms))
     ]
     sol = solve(LinearProgram("min", variables, objective, cons))
-    assert sol.status == OPTIMAL, "affine best-response LP must be solvable"
+    if sol.status != OPTIMAL:
+        raise CertificateError("affine best-response LP must be solvable")
     return sol.value
 
 
@@ -361,12 +361,13 @@ def protocol_report_structure(
     report = ProtocolReport(ct, md, budgeted, mdmb, bp, cert)
     values = report.chain()
     for lo, hi in zip(values, values[1:]):
-        assert lo <= hi, f"protocol ordering violated: {lo} > {hi}"
+        if lo > hi:
+            raise CertificateError(f"protocol ordering violated: {lo} > {hi}")
     return report
 
 
 def protocol_report(
     game: PersuasionGame, budgets: Sequence[RationalLike] = ()
 ) -> ProtocolReport:
-    """All five protocol values, with the value chain asserted before return."""
+    """All five protocol values, with the value chain checked before return."""
     return protocol_report_structure(_structure_of(game), budgets)

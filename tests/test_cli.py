@@ -229,15 +229,20 @@ def test_printed_fractions_reparse(capsys):
 
 
 def test_certificate_error_survives_optimize(tmp_path):
-    # Negative control: with the dual check forced to fail, ``solve`` must
+    # Negative controls: with the dual check forced to fail, ``solve`` must
     # refuse its answer and the CLI must exit 6, even under ``python -O``,
-    # which strips every assert statement.
+    # which strips every assert statement.  The same holds for the envelope
+    # checks: a decomposition that no longer re-evaluates to its LP value, and
+    # LP answers whose OPTIMAL status is no longer recognised.
     script = tmp_path / "sabotage.py"
+    salesman = str(GAMES / "salesman.json")
     script.write_text(
         "import sys\n"
+        "import medburn.envelopes as envelopes\n"
         "import medburn.lp as lp\n"
         "from medburn.cli import EXIT_CERTIFICATE, main\n"
         "assert False, 'assert statements are live: this run does not test -O'\n"
+        "dual_feasible = lp.dual_feasible\n"
         "lp.dual_feasible = lambda program, y: False\n"
         "program = lp.LinearProgram('max', [('x', lp.NONNEG)], {0: 1}, [({0: 1}, '<=', 3)])\n"
         "try:\n"
@@ -246,9 +251,16 @@ def test_certificate_error_survives_optimize(tmp_path):
         "    print('solve raised', exc)\n"
         "else:\n"
         "    sys.exit('solve returned an uncertified answer')\n"
-        f"code = main(['values', {str(GAMES / 'salesman.json')!r}])\n"
-        "print('exit', code)\n"
-        "sys.exit(0 if code == EXIT_CERTIFICATE else 1)\n"
+        f"codes = [main(['values', {salesman!r}])]\n"
+        "lp.dual_feasible = dual_feasible\n"
+        "weight = envelopes.subjective_weight\n"
+        "envelopes.subjective_weight = lambda lam, prior, mu: 2 * weight(lam, prior, mu)\n"
+        f"codes.append(main(['values', {salesman!r}]))\n"
+        "envelopes.subjective_weight = weight\n"
+        "envelopes.OPTIMAL = 'sabotaged'\n"
+        f"codes.append(main(['values', {salesman!r}]))\n"
+        "print('exit', *codes)\n"
+        "sys.exit(0 if codes == [EXIT_CERTIFICATE] * 3 else 1)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -257,5 +269,9 @@ def test_certificate_error_survives_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "solve raised simplex dual multipliers are infeasible" in proc.stdout
-    assert "exit 6" in proc.stdout
-    assert "certificate error: simplex dual multipliers are infeasible" in proc.stderr
+    assert "exit 6 6 6" in proc.stdout
+    assert proc.stderr.splitlines() == [
+        "certificate error: simplex dual multipliers are infeasible",
+        "certificate error: decomposition does not re-evaluate to the value",
+        "certificate error: piece regions failed to cover the simplex",
+    ]

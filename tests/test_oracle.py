@@ -1,8 +1,11 @@
+import hashlib
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 from medburn import Belief, SubjectivePrior, rat
+from medburn.cli import load_game_file
 from medburn.geometry import compile_pieces
 from medburn.oracle import (
     GridSpec,
@@ -18,8 +21,12 @@ from medburn.oracle import (
     simplex_lambda_grid,
     snapped_resolution,
 )
+from medburn.rational import format_fraction
 from medburn.solvers import value_bp, value_mdmb
 from random_games import game_corpus
+
+GAMES = Path(__file__).resolve().parent.parent / "games"
+PINNED_AUDIT_DIGEST = "da62fba17f577309e70a60d3cbf8bc0a10fcc14447840d51ac701c1d0e53fd60"
 
 
 def test_grid_spec_validation():
@@ -85,18 +92,24 @@ def test_grid_qcav(salesman, three_actions):
 
 
 def test_hull_matches_literal_pair_search(three_actions):
+    from medburn.envelopes import evaluate_subjective
+
     s = compile_pieces(three_actions)
     n = 30
     grid = GridSpec(n)
-    for lam in (SubjectivePrior([0, 1]), SubjectivePrior(["1/2", "1/2"])):
-        from medburn.envelopes import evaluate_subjective
-
+    simplex = (SubjectivePrior([0, 1]), SubjectivePrior(["1/2", "1/2"]))
+    # with the affine weight -2 the reweighted share w is negative wherever
+    # mu_H > 3/11, so max(w * hi, w * (lo - b)) can take its second branch
+    affine = SubjectivePrior([-2, 3], domain="affine")
+    cases = [(lam, b) for lam in simplex for b in (None, rat(0), rat(2))]
+    cases += [(affine, rat(0)), (affine, rat(2))]
+    for lam, budget in cases:
         f = {
-            mu.weights: evaluate_subjective(s, lam, None, mu)
+            mu.weights: evaluate_subjective(s, lam, budget, mu)
             for mu in grid_beliefs(2, n)
         }
         prior_x = s.prior[0]
-        best = evaluate_subjective(s, lam, None, s.prior)
+        best = evaluate_subjective(s, lam, budget, s.prior)
         for a, b in combinations_with_replacement(sorted(f), 2):
             if not (a[0] <= prior_x <= b[0]):
                 continue
@@ -107,7 +120,7 @@ def test_hull_matches_literal_pair_search(three_actions):
                 value = (1 - w) * f[a] + w * f[b]
             if value is not None and value > best:
                 best = value
-        assert grid_concavify(s, lam, None, grid) == best
+        assert grid_concavify(s, lam, budget, grid) == best
 
 
 def test_dominance_and_monotone_gaps(salesman):
@@ -178,3 +191,31 @@ def test_random_binary_games_dominance():
         assert lower <= exact
         if captured:
             assert lower == exact
+
+
+def _audit_text(report) -> str:
+    def text(v):
+        return "-" if v is None else format_fraction(v)
+
+    return "\n".join(
+        "|".join((r.protocol, text(r.exact), text(r.lower), text(r.upper), text(r.slack),
+                  str(r.satisfied)))
+        for r in report.rows
+    )
+
+
+def test_audit_rows_are_pinned():
+    # The digest pins every audit row the oracle returns, exactly as the
+    # Fraction oracle computed it: any change to the grid arithmetic must
+    # leave the lower and upper bounds bit-identical.
+    texts = []
+    for name in ("abstract_pieces", "influencer", "salesman", "three_actions"):
+        structure = load_game_file(str(GAMES / f"{name}.json")).any_structure()
+        texts.append(_audit_text(audit_structure(structure, [1, 2])))
+    for game in game_corpus(40, seed=8112):
+        if game.n_types > 3:
+            continue
+        grid = GridSpec(30) if game.n_types == 3 else None
+        texts.append(_audit_text(audit_report(game, [1, 2], grid=grid)))
+    digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+    assert digest == PINNED_AUDIT_DIGEST
