@@ -171,11 +171,7 @@ def _print_value(label: str, value: Rational, fractions_only: bool) -> None:
 
 def cmd_values(args) -> int:
     spec = load_game_file(args.path)
-    budgets = [rat(c) for c in args.budget]
-    if spec.game is not None:
-        report = protocol_report(spec.game, budgets)
-    else:
-        report = protocol_report_structure(spec.structure, budgets)
+    report = protocol_report_structure(spec.any_structure(), [rat(c) for c in args.budget])
     _print_value("CT", report.ct, args.fractions)
     _print_value("MD", report.md, args.fractions)
     for cap, value in report.budgeted:
@@ -308,12 +304,10 @@ def cmd_verify(args) -> int:
     else:
         print(f"oracle rows skipped ({structure.dim} types exceeds the grid oracle)")
 
-    from .solvers import value_mdmb_structure
-
-    value, cert = value_mdmb_structure(structure)
-    verdict = verify_saddle_structure(structure, cert, None, spec.types)
+    rep = protocol_report_structure(structure, budgets)
+    verdict = verify_saddle_structure(structure, rep.certificate, None, spec.types)
     if verdict.ok:
-        print(f"saddle: verified at value {format_fraction(value)}")
+        print(f"saddle: verified at value {format_fraction(rep.mdmb)}")
     else:
         print(f"saddle: FAILED ({verdict.first_violation})")
         violations.append("saddle certificate")
@@ -325,10 +319,6 @@ def cmd_verify(args) -> int:
         print("genericity: n/a (direct pieces)")
 
     if spec.expected:
-        if spec.game is not None:
-            rep = protocol_report(spec.game, budgets)
-        else:
-            rep = protocol_report_structure(spec.structure, budgets)
         computed = {"ct": rep.ct, "md": rep.md, "mdmb": rep.mdmb, "bp": rep.bp}
         for key, want in spec.expected.items():
             if key not in computed:

@@ -7,10 +7,13 @@ prior) is the LP dual of a max-min program over the same blocks, so a single
 solve returns the value, the optimal posterior decomposition, and the worst
 prior as the payoff rows' multipliers.
 
-Branches realize a pointwise max: the ``max`` branch pays a piece's best
-value, the ``min`` branch its worst value less the burning budget.  Offering
-both as separate blocks at the same region is exact because concavification
-already maximizes over decompositions.
+The burning budget alone picks the program.  Without a budget (unlimited
+burning) every piece pays its best value and reweightings range over the
+simplex.  With a budget C (capped burning; C = 0 is plain mediation) each
+piece also gets a ``min`` branch paying its worst value less C, and
+reweightings range over the affine hull.  Offering both branches as separate
+blocks at the same region realizes the pointwise max exactly, because
+concavification already maximizes over decompositions.
 """
 
 from __future__ import annotations
@@ -24,30 +27,6 @@ from .rational import ONE, ZERO, Rational, rat
 
 MAX_BRANCH = "max"
 MIN_BRANCH = "min"
-
-MAX_ONLY = "max_only"
-TWO_BRANCH = "two_branch"
-
-
-@dataclass(frozen=True)
-class WeightedEnvelopeQuery:
-    structure: PiecewiseValueStructure
-    lam: SubjectivePrior
-    budget: Rational | None = None  # None stands for an unlimited budget
-    branch_mode: str = MAX_ONLY
-
-    def __post_init__(self) -> None:
-        if self.branch_mode not in (MAX_ONLY, TWO_BRANCH):
-            raise ValueError(f"unknown branch mode {self.branch_mode!r}")
-        if self.branch_mode == MAX_ONLY and self.lam.domain != "simplex":
-            raise ValueError("max-only envelopes require a simplex reweighting")
-        if self.branch_mode == TWO_BRANCH and self.budget is None:
-            raise ValueError("two-branch envelopes need a finite budget")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if len(self.lam) != self.structure.dim:
-            raise ValueError("reweighting dimension mismatch")
-
 
 @dataclass(frozen=True)
 class DecompositionAtom:
@@ -101,12 +80,12 @@ def _require_full_support(structure: PiecewiseValueStructure) -> None:
 
 
 def _blocks(
-    structure: PiecewiseValueStructure, budget: Rational | None, branch_mode: str
+    structure: PiecewiseValueStructure, budget: Rational | None
 ) -> list[tuple[int, str, Rational]]:
     out = []
     for k, piece in enumerate(structure.pieces):
         out.append((k, MAX_BRANCH, piece.vmax))
-        if branch_mode == TWO_BRANCH:
+        if budget is not None:
             out.append((k, MIN_BRANCH, piece.vmin - budget))
     return out
 
@@ -184,19 +163,34 @@ def _check_result(
         raise CertificateError("decomposition does not re-evaluate to the value")
 
 
-def concavify_weighted(query: WeightedEnvelopeQuery) -> EnvelopeResult:
-    """Value and optimal split of the concavified reweighted piecewise value."""
-    structure = query.structure
+def concavify_weighted(
+    structure: PiecewiseValueStructure,
+    lam: SubjectivePrior,
+    budget: Rational | None = None,
+) -> EnvelopeResult:
+    """Value and optimal split of the concavified reweighted piecewise value.
+
+    ``budget`` None is unlimited burning and needs a simplex ``lam``; a
+    budget adds each piece's ``min`` branch.
+    """
+    if budget is None:
+        if lam.domain != "simplex":
+            raise ValueError("unlimited budget requires a simplex reweighting")
+    else:
+        budget = rat(budget)
+        if budget < 0:
+            raise ValueError("budget must be nonnegative")
+    if len(lam) != structure.dim:
+        raise ValueError("reweighting dimension mismatch")
     _require_full_support(structure)
     n = structure.dim
-    budget = None if query.branch_mode == MAX_ONLY else rat(query.budget)
-    blocks = _blocks(structure, budget, query.branch_mode)
+    blocks = _blocks(structure, budget)
     objective: dict[int, Rational] = {}
     for b, (_, _, coeff) in enumerate(blocks):
         if coeff == 0:
             continue
         for t in range(n):
-            lt = query.lam[t]
+            lt = lam[t]
             if lt != 0:
                 objective[b * n + t] = coeff * lt / structure.prior[t]
     variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
@@ -205,12 +199,12 @@ def concavify_weighted(query: WeightedEnvelopeQuery) -> EnvelopeResult:
     if sol.status != OPTIMAL:
         raise CertificateError(f"envelope LP came back {sol.status}")
     atoms = _extract_atoms(structure, blocks, sol.primal)
-    if query.branch_mode == MAX_ONLY:
-        atoms = _caratheodory_reduce(structure, query.lam, atoms, sol.value)
+    if budget is None:
+        atoms = _caratheodory_reduce(structure, lam, atoms, sol.value)
         if len(atoms) > n + 1:
             raise CertificateError("max-only decomposition exceeds the Caratheodory bound")
     result = EnvelopeResult(sol.value, atoms)
-    _check_result(structure, query.lam, result)
+    _check_result(structure, lam, result)
     return result
 
 
@@ -257,40 +251,35 @@ def _caratheodory_reduce(
 
 @dataclass(frozen=True)
 class WorstPriorResult:
-    value: Rational
     lam: SubjectivePrior
     envelope: EnvelopeResult
 
 
 def worst_prior_envelope(
-    structure: PiecewiseValueStructure,
-    budget: Rational | None,
-    domain: str,
+    structure: PiecewiseValueStructure, budget: Rational | None
 ) -> WorstPriorResult:
     """Minimize the concavified reweighted value over reweightings.
 
     Solved from the max-min side: maximize the worst per-type payoff of a
     decomposition whose atom values come from the (piece, branch) blocks.
-    With an affine reweighting domain the per-type payoffs are forced equal;
-    with the simplex domain they are only bounded below.  The reweighting that
-    attains the outer minimum falls out as the payoff rows' dual multipliers,
-    and strong duality (checked exactly in the solver) makes both sides equal.
+    Without a budget the reweightings range over the simplex, so the per-type
+    payoffs are only bounded below; with one they range over the affine hull,
+    so the payoffs are forced equal.  The reweighting that attains the outer
+    minimum falls out as the payoff rows' dual multipliers, and strong duality
+    (checked exactly in the solver) makes both sides equal.
     """
     _require_full_support(structure)
-    if domain not in ("simplex", "affine"):
-        raise ValueError(f"unknown domain {domain!r}")
-    branch_mode = MAX_ONLY if budget is None else TWO_BRANCH
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
     n = structure.dim
-    blocks = _blocks(structure, budget, branch_mode)
+    blocks = _blocks(structure, budget)
     eta = len(blocks) * n
     variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
     variables.append(("eta", FREE))
 
     # Payoff rows sit right after the n mass rows, so their duals are sol.dual[n + t].
     payoff: list[tuple[dict, str, Rational]] = []
-    relation = LE if domain == "simplex" else EQ
+    relation = LE if budget is None else EQ
     for t in range(n):
         row: dict[int, Rational] = {eta: ONE}
         for b, (_, _, coeff) in enumerate(blocks):
@@ -305,13 +294,13 @@ def worst_prior_envelope(
     lam_weights = [sol.dual[n + t] for t in range(n)]
     if sum(lam_weights, ZERO) != ONE:
         raise CertificateError("payoff-row multipliers must sum to 1")
-    if domain == "simplex" and any(w < 0 for w in lam_weights):
+    if budget is None and any(w < 0 for w in lam_weights):
         raise CertificateError("simplex multipliers must be nonnegative")
-    lam = SubjectivePrior(lam_weights, domain=domain)
+    lam = SubjectivePrior(lam_weights, domain="simplex" if budget is None else "affine")
     atoms = _extract_atoms(structure, blocks, sol.primal)
     envelope = EnvelopeResult(sol.value, atoms)
     _check_result(structure, lam, envelope)
-    return WorstPriorResult(sol.value, lam, envelope)
+    return WorstPriorResult(lam, envelope)
 
 
 def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:

@@ -23,7 +23,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .rational import ONE, ZERO, Rational, RationalLike, rat
+from .rational import (
+    ONE,
+    ZERO,
+    Rational,
+    RationalLike,
+    lcm_of_denominators,
+    numerator_over,
+    rat,
+)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -77,7 +85,7 @@ class LinearProgram:
     ):
         if sense not in ("max", "min"):
             raise MalformedProgram(f"sense must be 'max' or 'min', got {sense!r}")
-        vars_packed = tuple([(str(n), s) for n, s in variables])  # see _lcm_of_denominators
+        vars_packed = tuple([(str(n), s) for n, s in variables])  # see lcm_of_denominators
         for name, sign in vars_packed:
             if sign not in (NONNEG, FREE):
                 raise MalformedProgram(f"variable {name!r} has unknown sign {sign!r}")
@@ -221,18 +229,6 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
     return LinearProgram("min" if is_max else "max", dual_vars, objective, constraints)
 
 
-def _lcm_of_denominators(values: Iterable[Rational]) -> int:
-    # A list, not a generator: unpacking a generator builds its argument
-    # tuple by resizing, and the interpreter then parks one tuple per call on
-    # the free list of the final size, which grows peak memory.
-    return math.lcm(*[int(v.denominator) for v in values])
-
-
-def _numerator_over(value: Rational, den: int) -> int:
-    """The integer ``n`` with ``n / den == value``; ``den`` is a multiple of its denominator."""
-    return int(value.numerator) * (den // int(value.denominator))
-
-
 def _eliminate(
     other: list[int], den: int, row: list[int], support: list[int], p: int, f: int
 ) -> tuple[list[int], int]:
@@ -324,16 +320,16 @@ class _Tableau:
         self.row_of_orig: list[int] = list(range(m))  # tableau row -> original row
         self.id_col: list[int] = [0] * m  # original row -> its identity column
         for i, (row, _, b) in enumerate(lp.constraints):
-            den = _lcm_of_denominators([b] + [c for _, c in row])
+            den = lcm_of_denominators([b] + [c for _, c in row])
             sign = 1 if self.row_scale[i] > 0 else -1
             nums = [0] * (self.ncols + 1)
             for j, c in row:
-                v = sign * _numerator_over(c, den)
+                v = sign * numerator_over(c, den)
                 pos, neg = self.col_of_var[j]
                 nums[pos] = v
                 if neg is not None:
                     nums[neg] = -v
-            nums[self.ncols] = sign * _numerator_over(b, den)
+            nums[self.ncols] = sign * numerator_over(b, den)
             aux = aux_of_row[i]
             if aux is not None:
                 nums[aux] = den if kinds[i] == "slack" else -den
@@ -378,8 +374,8 @@ class _Tableau:
         self.basis[r] = c
 
     def _set_objective(self, cost: list[Rational]) -> None:
-        den = _lcm_of_denominators(cost)
-        self.objrow = [_numerator_over(v, den) for v in cost] + [0]
+        den = lcm_of_denominators(cost)
+        self.objrow = [numerator_over(v, den) for v in cost] + [0]
         self.objden = den
         for r, b in enumerate(self.basis):
             f = self.objrow[b]

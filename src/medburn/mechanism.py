@@ -320,6 +320,22 @@ def _report_payoff(
     return total
 
 
+def _reach(
+    game: PersuasionGame, raw: RawMDMB, assess: Assessment, key: InfoSet
+) -> tuple[list[Rational], Rational]:
+    """Each type's probability of reaching ``key``, and the prior-weighted total."""
+    by_type = []
+    for t_label in game.types:
+        mass = ZERO
+        for m, pm in assess.sigma_of(t_label).items():
+            for kk, prob in raw.phi_of(m):
+                if kk == key:
+                    mass += pm * prob
+        by_type.append(mass)
+    total = sum((game.prior[i] * by_type[i] for i in range(game.n_types)), ZERO)
+    return by_type, total
+
+
 def check_pbe(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> PbeCheck:
     """Verify the three equilibrium conditions exactly.
 
@@ -349,18 +365,7 @@ def check_pbe(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> PbeChec
     # Reach probabilities and exact Bayes updating at reached sets.
     for key in raw.info_sets():
         mu = assess.belief_of(key)
-        reach_by_type = []
-        for t_label in game.types:
-            sig = assess.sigma_of(t_label)
-            mass = ZERO
-            for m, pm in sig.items():
-                for kk, prob in raw.phi_of(m):
-                    if kk == key:
-                        mass += pm * prob
-            reach_by_type.append(mass)
-        denom = sum(
-            (game.prior[i] * reach_by_type[i] for i in range(game.n_types)), ZERO
-        )
+        reach_by_type, denom = _reach(game, raw, assess, key)
         if denom == 0:
             continue
         for i in range(game.n_types):
@@ -407,16 +412,7 @@ def canonicalize(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> Cano
     reach: dict[InfoSet, Rational] = {}
     reach_by_type: dict[InfoSet, list[Rational]] = {}
     for key in raw.info_sets():
-        by_type = []
-        for t_label in game.types:
-            sig = assess.sigma_of(t_label)
-            mass = ZERO
-            for m, pm in sig.items():
-                for kk, prob in raw.phi_of(m):
-                    if kk == key:
-                        mass += pm * prob
-            by_type.append(mass)
-        total = sum((game.prior[i] * by_type[i] for i in range(n)), ZERO)
+        by_type, total = _reach(game, raw, assess, key)
         if total == 0:
             continue
         reach[key] = total

@@ -34,7 +34,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import Belief, PersuasionGame, SubjectivePrior, restrict_to_support
 from .geometry import PiecewiseValueStructure, compile_pieces
-from .rational import ONE, ZERO, Rational, RationalLike, rat
+from .rational import (
+    ONE,
+    ZERO,
+    Rational,
+    RationalLike,
+    lcm_of_denominators,
+    numerator_over,
+    rat,
+)
 
 DEFAULT_SEED = 177013
 DEFAULT_RESTARTS = 800
@@ -65,7 +73,7 @@ def snapped_resolution(structure: PiecewiseValueStructure, target: int) -> int:
     """
     if structure.dim != 2:
         return target
-    denoms = {int(w.denominator) for w in structure.prior.weights}
+    denoms = {w.denominator for w in structure.prior.weights}
     for piece in structure.pieces:
         for coeffs, _, rhs in piece.region.rows:
             c0, c1 = coeffs
@@ -73,7 +81,7 @@ def snapped_resolution(structure: PiecewiseValueStructure, target: int) -> int:
                 continue
             x = (rhs - c1) / (c0 - c1)
             if 0 <= x <= 1:
-                denoms.add(int(x.denominator))
+                denoms.add(x.denominator)
     base = 1
     for d in denoms:
         base = base * d // gcd(base, d)
@@ -115,11 +123,6 @@ class _GridTable(NamedTuple):
     prior_idx: int
 
 
-def _over(value: Rational, den: int) -> int:
-    """Numerator of ``value`` over ``den``, a multiple of its denominator."""
-    return int(value.numerator) * (den // int(value.denominator))
-
-
 @lru_cache(maxsize=64)
 def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTable:
     """Integer coordinates, value bounds and piece coverage per grid point.
@@ -128,9 +131,9 @@ def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTab
     exists.
     """
     points = list(grid_beliefs(structure.dim, resolution))
-    scale = lcm(resolution, *[int(w.denominator) for w in structure.prior.weights])
-    coords = [tuple(_over(w, scale) for w in mu.weights) for mu in points]
-    prior = tuple(_over(w, scale) for w in structure.prior.weights)
+    scale = lcm(resolution, lcm_of_denominators(structure.prior.weights))
+    coords = [tuple(numerator_over(w, scale) for w in mu.weights) for mu in points]
+    prior = tuple(numerator_over(w, scale) for w in structure.prior.weights)
     index = {k: i for i, k in enumerate(coords)}
     if prior not in index:
         index[prior] = len(points)
@@ -145,12 +148,12 @@ def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTab
         lo.append(min(pieces[i].vmin for i in covering))
         hi.append(max(pieces[i].vmax for i in covering))
         cover.append(len(covering))
-    vden = lcm(*[int(v.denominator) for v in lo + hi])
+    vden = lcm_of_denominators(lo + hi)
     return _GridTable(
         tuple(coords),
         scale,
-        tuple(_over(v, vden) for v in lo),
-        tuple(_over(v, vden) for v in hi),
+        tuple(numerator_over(v, vden) for v in lo),
+        tuple(numerator_over(v, vden) for v in hi),
         vden,
         tuple(cover),
         index[prior],
@@ -171,15 +174,15 @@ def _pointwise_values(
     integer for integer coordinates ``k``; ``w`` may be negative.
     """
     ratios = [lam[t] / structure.prior[t] for t in range(structure.dim)]
-    c_den = lcm(*[int(r.denominator) for r in ratios])
-    c = [_over(r, c_den) for r in ratios]
+    c_den = lcm_of_denominators(ratios)
+    c = [numerator_over(r, c_den) for r in ratios]
     ws = [sum(map(mul, c, k)) for k in table.coords]
     den = c_den * table.scale * table.vden
     if budget is None:
         return [w * h for w, h in zip(ws, table.hi)], den
     b = rat(budget)
-    b_den = int(b.denominator)
-    shift = int(b.numerator) * table.vden
+    b_den = b.denominator
+    shift = b.numerator * table.vden
     vals = [
         max(w * (h * b_den), w * (lo * b_den - shift))
         for w, lo, h in zip(ws, table.lo, table.hi)

@@ -1,33 +1,25 @@
 """Exact rational numbers and their text renderings.
 
 Every quantity in this package is an exact rational; floats never enter any
-computation.  The backing type is ``gmpy2.mpq`` when available and
-``fractions.Fraction`` otherwise.  Both store lowest-terms
-numerator/denominator with a positive denominator and give exact ``+ - * /``.
-The LP solver's pivot loop works on Python integers and does not use this
-type; it enters only where programs are built, answers are read back and
-certificates are checked.
+computation.  ``Rational`` is ``fractions.Fraction``: lowest-terms
+numerator/denominator with a positive denominator and exact ``+ - * /``.
+The LP solver's pivot loop and the grid oracle's kernels work on Python
+integers over common denominators (built with the two helpers below) and do
+not use this type; it enters only where programs are built, answers are read
+back and certificates are checked.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
-try:
-    from gmpy2 import mpq as _mpq
+Rational = Fraction
+RationalLike = Union[int, str, Fraction]
 
-    Rational = type(_mpq(0))
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-    Rational = Fraction
-    _HAVE_GMPY2 = False
-
-RationalLike = Union[int, str, Fraction, "Rational"]
-
-ZERO = _mpq(0)
-ONE = _mpq(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rat(value: RationalLike, denominator: int | None = None) -> Rational:
@@ -39,35 +31,44 @@ def rat(value: RationalLike, denominator: int | None = None) -> Rational:
     if denominator is not None:
         if denominator == 0:
             raise ZeroDivisionError("rational with zero denominator")
-        return _mpq(value, denominator)
+        return Fraction(value, denominator)
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(value, (int, Fraction)) or isinstance(value, Rational):
-        return _mpq(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     if isinstance(value, str):
         try:
-            return _mpq(Fraction(value.strip()))
+            return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational literal {value!r}") from exc
     raise TypeError(f"cannot convert {type(value).__name__} to a rational")
 
 
-def as_fraction(value: Rational) -> Fraction:
-    return Fraction(int(value.numerator), int(value.denominator))
+def lcm_of_denominators(values: Iterable[Rational]) -> int:
+    """Least common denominator of ``values``."""
+    # A list, not a generator: unpacking a generator builds its argument
+    # tuple by resizing, and the interpreter then parks one tuple per call on
+    # the free list of the final size, which grows peak memory.
+    return math.lcm(*[v.denominator for v in values])
+
+
+def numerator_over(value: Rational, den: int) -> int:
+    """The integer ``n`` with ``n / den == value``; ``den`` is a multiple of its denominator."""
+    return value.numerator * (den // value.denominator)
 
 
 def format_fraction(value: Rational) -> str:
     """Render as ``p`` or ``p/q``; re-parses to the same rational."""
-    return str(_mpq(value))
+    return str(Fraction(value))
 
 
 def format_decimal(value: Rational, places: int = 12) -> str:
     """Fixed-point decimal rendering, round-half-even, computed exactly."""
     if places < 0:
         raise ValueError("places must be nonnegative")
-    q = _mpq(value)
+    q = Fraction(value)
     sign = "-" if q < 0 else ""
-    p, d = abs(int(q.numerator)), int(q.denominator)
+    p, d = abs(q.numerator), q.denominator
     scale = 10**places
     whole, rem = divmod(p * scale, d)
     doubled = 2 * rem

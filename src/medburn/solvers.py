@@ -7,6 +7,9 @@ commitment (plain concavification).  The burning protocols also return a
 saddle certificate: the worst reweighting, an optimal posterior decomposition,
 and per-type directional payoffs witnessing optimality.
 
+Each burning value passes only its budget down to ``envelopes``: ``None``
+for unlimited burning, ``C`` for a cap, and 0 for mediation.
+
 Every operation also exists at the structure level, so abstract value
 structures given directly as pieces run through the identical pipeline.
 """
@@ -23,10 +26,7 @@ from .core import (
     restrict_to_support,
 )
 from .envelopes import (
-    MAX_ONLY,
-    TWO_BRANCH,
-    EnvelopeResult,
-    WeightedEnvelopeQuery,
+    WorstPriorResult,
     concavify_weighted,
     evaluate_subjective,
     quasiconcavify,
@@ -105,10 +105,7 @@ def _payoff_shares(prior, p: PosteriorDistribution, vals) -> tuple[Rational, ...
 
 
 def value_bp_structure(structure: PiecewiseValueStructure) -> Rational:
-    query = WeightedEnvelopeQuery(
-        structure, SubjectivePrior.from_belief(structure.prior), None, MAX_ONLY
-    )
-    return concavify_weighted(query).value
+    return concavify_weighted(structure, SubjectivePrior.from_belief(structure.prior)).value
 
 
 def value_ct_structure(structure: PiecewiseValueStructure) -> Rational:
@@ -116,35 +113,28 @@ def value_ct_structure(structure: PiecewiseValueStructure) -> Rational:
 
 
 def _certificate(
-    structure: PiecewiseValueStructure,
-    value: Rational,
-    lam: SubjectivePrior,
-    envelope: EnvelopeResult,
+    structure: PiecewiseValueStructure, result: WorstPriorResult
 ) -> SaddleCertificate:
-    p_star = envelope.posterior()
+    p_star = result.envelope.posterior()
     vals = [structure.interval_at(belief)[1] for belief, _ in p_star.atoms]
     payoffs = _payoff_shares(structure.prior, p_star, vals)
-    return SaddleCertificate(lam, p_star, value, payoffs)
+    return SaddleCertificate(result.lam, p_star, result.envelope.value, payoffs)
 
 
 def value_mdmb_structure(
     structure: PiecewiseValueStructure,
 ) -> tuple[Rational, SaddleCertificate]:
-    result = worst_prior_envelope(structure, None, "simplex")
-    cert = _certificate(structure, result.value, result.lam, result.envelope)
-    if min(cert.per_type_payoffs) != result.value:
+    cert = _certificate(structure, worst_prior_envelope(structure, None))
+    if min(cert.per_type_payoffs) != cert.value:
         raise CertificateError("optimal scheme's worst type payoff must equal the protocol value")
-    return result.value, cert
+    return cert.value, cert
 
 
 def value_mdmb_budget_structure(
     structure: PiecewiseValueStructure, budget: RationalLike
 ) -> tuple[Rational, SaddleCertificate]:
-    cap = rat(budget)
-    if cap < 0:
-        raise ValueError("budget must be nonnegative")
-    result = worst_prior_envelope(structure, cap, "affine")
-    return result.value, _certificate(structure, result.value, result.lam, result.envelope)
+    cert = _certificate(structure, worst_prior_envelope(structure, rat(budget)))
+    return cert.value, cert
 
 
 # -- game-level values -------------------------------------------------------
@@ -189,10 +179,7 @@ def value_mdmb_binary(game: PersuasionGame) -> Rational:
     if structure.dim != 2:
         raise NotBinary(f"{structure.dim} supported types; shortcut needs exactly 2")
     return min(
-        concavify_weighted(
-            WeightedEnvelopeQuery(structure, SubjectivePrior.degenerate(2, t), None, MAX_ONLY)
-        ).value
-        for t in range(2)
+        concavify_weighted(structure, SubjectivePrior.degenerate(2, t)).value for t in range(2)
     )
 
 
@@ -203,7 +190,6 @@ def value_mdmb_binary(game: PersuasionGame) -> Rational:
 class SaddleDiagnostics:
     ok: bool
     first_violation: str | None
-    payoff_at_saddle: Rational | None = None
 
 
 def _mixture_payoff(
@@ -264,15 +250,11 @@ def verify_saddle_structure(
         return SaddleDiagnostics(False, "scheme is not Bayes-plausible at the prior")
 
     at_saddle = _mixture_payoff(structure, cert.lambda_star, cap, cert.p_star)
-    mode = MAX_ONLY if cap is None else TWO_BRANCH
-    cav = concavify_weighted(
-        WeightedEnvelopeQuery(structure, cert.lambda_star, cap, mode)
-    ).value
+    cav = concavify_weighted(structure, cert.lambda_star, cap).value
     if at_saddle != cav:
         return SaddleDiagnostics(
             False,
             f"mixture payoff {at_saddle} differs from concavified value {cav}",
-            at_saddle,
         )
 
     if cap is None:
@@ -288,13 +270,11 @@ def verify_saddle_structure(
                 return SaddleDiagnostics(
                     False,
                     f"supported type {labels[t]} has directional payoff {d} != value {cert.value}",
-                    at_saddle,
                 )
             if t not in support and d < cert.value:
                 return SaddleDiagnostics(
                     False,
                     f"unsupported type {labels[t]} has directional payoff {d} < value {cert.value}",
-                    at_saddle,
                 )
     else:
         best_response = _min_affine_payoff(structure, cap, cert.p_star)
@@ -302,15 +282,13 @@ def verify_saddle_structure(
             return SaddleDiagnostics(
                 False,
                 f"affine best response {best_response} differs from value {cert.value}",
-                at_saddle,
             )
     if at_saddle != cert.value:
         return SaddleDiagnostics(
             False,
             f"mixture payoff {at_saddle} differs from stated value {cert.value}",
-            at_saddle,
         )
-    return SaddleDiagnostics(True, None, at_saddle)
+    return SaddleDiagnostics(True, None)
 
 
 def verify_saddle(

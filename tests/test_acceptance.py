@@ -10,7 +10,7 @@ import random
 import pytest
 
 from medburn import Belief, PosteriorDistribution, SubjectivePrior, rat
-from medburn.envelopes import WeightedEnvelopeQuery, concavify_weighted
+from medburn.envelopes import concavify_weighted
 from medburn.geometry import compile_pieces, is_generic
 from medburn.mechanism import (
     construct_optimal_mdmb,
@@ -83,9 +83,7 @@ def test_criterion_3_influencer_saddle(influencer):
     structure = compile_pieces(influencer)
     expected = {0: rat(3), 1: rat(3), 2: rat(8, 3)}
     for t, want in expected.items():
-        got = concavify_weighted(
-            WeightedEnvelopeQuery(structure, SubjectivePrior.degenerate(3, t))
-        ).value
+        got = concavify_weighted(structure, SubjectivePrior.degenerate(3, t)).value
         if got != want:
             bad.append((f"vertex {t}", str(got)))
     value, cert = value_mdmb(influencer)

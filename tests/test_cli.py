@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from medburn.cli import main
 from medburn.rational import rat
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
+PINNED_CLI_DIGEST = "53b7b3222d48079b3c169f2ee695d56c650b7184c2ec1c7d781b04941f15ca08"
 
 
 def run(capsys, *argv):
@@ -275,3 +277,21 @@ def test_certificate_error_survives_optimize(tmp_path):
         "certificate error: decomposition does not re-evaluate to the value",
         "certificate error: piece regions failed to cover the simplex",
     ]
+
+
+def test_cli_output_is_pinned(capsys):
+    # The digest pins the exit code and every stdout byte of the three
+    # report commands on the four fixtures; a refactor that leaves values,
+    # certificates and mechanisms alone must leave it unchanged.
+    commands = [
+        ("values", "--budget", "1", "--budget", "2"),
+        ("mechanism", "--delta", "1/10"),
+        ("verify",),
+    ]
+    texts = []
+    for name in ("abstract_pieces", "influencer", "salesman", "three_actions"):
+        for command, *options in commands:
+            code, out, _ = run(capsys, command, GAMES / f"{name}.json", *options)
+            texts.append(f"{name} {command} exit {code}\n{out}")
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == PINNED_CLI_DIGEST

@@ -5,9 +5,6 @@ import pytest
 
 from medburn import Belief, SubjectivePrior, rat
 from medburn.envelopes import (
-    MAX_ONLY,
-    TWO_BRANCH,
-    WeightedEnvelopeQuery,
     concavify_weighted,
     evaluate_subjective,
     quasiconcavify,
@@ -19,8 +16,8 @@ from medburn.oracle import GridSpec, grid_concavify, lipschitz_slack
 from random_games import game_corpus
 
 
-def cav(structure, lam, budget=None, mode=MAX_ONLY):
-    return concavify_weighted(WeightedEnvelopeQuery(structure, lam, budget, mode))
+def cav(structure, lam, budget=None):
+    return concavify_weighted(structure, lam, budget)
 
 
 def test_salesman_low_type_share(salesman):
@@ -107,7 +104,7 @@ def test_cav_dominates_pointwise(salesman, three_actions):
             assert cav(s, lam).value >= evaluate_subjective(s, lam, None, s.prior)
         lam = SubjectivePrior(["-1/2", "3/2"], domain="affine")
         assert (
-            cav(s, lam, rat(1), TWO_BRANCH).value
+            cav(s, lam, rat(1)).value
             >= evaluate_subjective(s, lam, rat(1), s.prior)
         )
 
@@ -115,17 +112,17 @@ def test_cav_dominates_pointwise(salesman, three_actions):
 def test_worst_prior_requires_full_support(salesman):
     s = compile_pieces(salesman).with_prior(Belief([1, 0]))
     with pytest.raises(ValueError):
-        worst_prior_envelope(s, None, "simplex")
+        worst_prior_envelope(s, None)
 
 
 def test_query_validation(salesman):
     s = compile_pieces(salesman)
     with pytest.raises(ValueError):
-        WeightedEnvelopeQuery(s, SubjectivePrior([-1, 2], domain="affine"), None, MAX_ONLY)
+        cav(s, SubjectivePrior([-1, 2], domain="affine"))
     with pytest.raises(ValueError):
-        WeightedEnvelopeQuery(s, SubjectivePrior([1, 0]), None, TWO_BRANCH)
+        cav(s, SubjectivePrior([1, 0]), rat(-1))
     with pytest.raises(ValueError):
-        WeightedEnvelopeQuery(s, SubjectivePrior([1, 0]), rat(-1), TWO_BRANCH)
+        cav(s, SubjectivePrior([1, 0, 0]))
 
 
 def test_binary_grid_oracle_agreement(salesman, three_actions):
@@ -171,10 +168,10 @@ def test_full_and_reduced_piece_sets_agree():
         lam = SubjectivePrior.from_belief(s.prior)
         assert cav(s, lam).value == cav(full, lam).value
         assert quasiconcavify(s) == quasiconcavify(full)
-        for domain, budget in (("simplex", None), ("affine", rat(0)), ("affine", rat(1))):
+        for budget in (None, rat(0), rat(1)):
             assert (
-                worst_prior_envelope(s, budget, domain).value
-                == worst_prior_envelope(full, budget, domain).value
+                worst_prior_envelope(s, budget).envelope.value
+                == worst_prior_envelope(full, budget).envelope.value
             )
         checked += 1
     assert checked >= 8

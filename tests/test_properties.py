@@ -3,11 +3,7 @@
 import random
 
 from medburn import Belief, SubjectivePrior, rat, validate_game
-from medburn.envelopes import (
-    WeightedEnvelopeQuery,
-    concavify_weighted,
-    subjective_weight,
-)
+from medburn.envelopes import concavify_weighted, subjective_weight
 from medburn.geometry import compile_pieces
 from medburn.solvers import (
     max_selection,
@@ -23,7 +19,7 @@ def test_envelope_decompositions_are_bayes_plausible():
     for game in game_corpus(12, seed=3001):
         structure = compile_pieces(game)
         lam = SubjectivePrior.from_belief(structure.prior)
-        result = concavify_weighted(WeightedEnvelopeQuery(structure, lam))
+        result = concavify_weighted(structure, lam)
         total = [rat(0)] * structure.dim
         for atom in result.atoms:
             for t in range(structure.dim):
@@ -83,7 +79,7 @@ def test_reweighting_identity():
     for game in game_corpus(6, seed=3006):
         structure = compile_pieces(game)
         lam = SubjectivePrior.from_belief(structure.prior)
-        result = concavify_weighted(WeightedEnvelopeQuery(structure, lam))
+        result = concavify_weighted(structure, lam)
         total = sum(
             (a.weight * subjective_weight(lam, structure.prior, a.belief) for a in result.atoms),
             rat(0),
