@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Belief, GameValidationError, PersuasionGame, validate_game
+from .core import Belief, GameValidationError, PersuasionGame, restrict_to_support, validate_game
 from .geometry import (
     PiecewiseValueStructure,
     Polytope,
     ValuePiece,
+    compile_pieces,
     direct_structure,
     is_generic,
 )
@@ -63,9 +64,6 @@ class GameSpecFile:
     def any_structure(self) -> PiecewiseValueStructure:
         if self.structure is not None:
             return self.structure
-        from .core import restrict_to_support
-        from .geometry import compile_pieces
-
         return compile_pieces(restrict_to_support(self.game))
 
 
@@ -194,8 +192,6 @@ def cmd_mechanism(args) -> int:
     if not (0 < delta < 1):
         print(f"--delta must lie strictly between 0 and 1, got {format_fraction(delta)}", file=sys.stderr)
         return EXIT_VALIDATION
-    from .core import restrict_to_support
-
     game = restrict_to_support(spec.game)
     value, cert = value_mdmb(game)
     mech = construct_optimal_mdmb(game, cert.p_star, delta)
@@ -260,14 +256,16 @@ def cmd_sweep(args) -> int:
     header += [f"mdmb_C{format_fraction(c)}" for c in sorted(budgets)]
     header += ["mdmb", "bp"]
     lines = [",".join(header)]
+    base = spec.structure or compile_pieces(spec.game)
     for mu, label in zip(priors, labels):
-        if spec.game is not None:
+        if all(w != 0 for w in mu.weights):
+            report = protocol_report_structure(base.with_prior(mu), budgets)
+        elif spec.game is not None:
+            # a boundary prior drops types, which changes the pieces
             report = protocol_report(spec.game.with_prior(mu), budgets)
         else:
-            if any(w == 0 for w in mu.weights):
-                print("direct-pieces sweeps need full-support priors", file=sys.stderr)
-                return EXIT_SWEEP
-            report = protocol_report_structure(spec.structure.with_prior(mu), budgets)
+            print("direct-pieces sweeps need full-support priors", file=sys.stderr)
+            return EXIT_SWEEP
         cells = [label, render(report.ct), render(report.md)]
         cells += [render(v) for _, v in report.budgeted]
         cells += [render(report.mdmb), render(report.bp)]
@@ -285,11 +283,12 @@ def cmd_verify(args) -> int:
     spec = load_game_file(args.path)
     budgets = [rat(c) for c in args.budget]
     structure = spec.any_structure()
+    rep = protocol_report_structure(structure, budgets)
     violations = []
 
     if structure.dim <= 3:
         grid = GridSpec(args.grid) if args.grid else None
-        report = audit_structure(structure, budgets, grid=grid)
+        report = audit_structure(structure, rep, grid=grid)
         print("protocol      exact        lower        upper        slack     status")
         for row in report.rows:
             lower = format_fraction(row.lower) if row.lower is not None else "-"
@@ -304,7 +303,6 @@ def cmd_verify(args) -> int:
     else:
         print(f"oracle rows skipped ({structure.dim} types exceeds the grid oracle)")
 
-    rep = protocol_report_structure(structure, budgets)
     verdict = verify_saddle_structure(structure, rep.certificate, None, spec.types)
     if verdict.ok:
         print(f"saddle: verified at value {format_fraction(rep.mdmb)}")

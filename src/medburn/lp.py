@@ -194,41 +194,6 @@ def farkas_valid(lp: LinearProgram, u: Sequence[Rational]) -> bool:
     return dual_objective(lp, u) > 0
 
 
-def dual_program(lp: LinearProgram) -> LinearProgram:
-    """The symmetric dual; solving it reproduces the optimal value exactly.
-
-    Nonnegative dual variables stand for the natural-sign multiplier of each
-    inequality (y >= 0 on <= rows of a max program, on >= rows of a min
-    program); rows of the opposite orientation enter negated.
-    """
-    is_max = lp.sense == "max"
-
-    def mult(i: int) -> Rational:
-        relation = lp.constraints[i][1]
-        if relation == EQ:
-            return ONE
-        natural = LE if is_max else GE
-        return ONE if relation == natural else -ONE
-
-    dual_vars = tuple(
-        (f"y{i}", FREE if relation == EQ else NONNEG)
-        for i, (_, relation, _) in enumerate(lp.constraints)
-    )
-    objective = {i: mult(i) * lp.constraints[i][2] for i in range(len(lp.constraints))}
-    cols: dict[int, dict[int, Rational]] = {j: {} for j in range(lp.n_vars)}
-    for i, (row, _, _) in enumerate(lp.constraints):
-        for j, c in row:
-            cols[j][i] = mult(i) * c
-    cost = {j: ZERO for j in range(lp.n_vars)}
-    for j, c in lp.objective:
-        cost[j] = c
-    constraints = []
-    for j, (_, sign) in enumerate(lp.variables):
-        relation = EQ if sign == FREE else (GE if is_max else LE)
-        constraints.append((cols[j], relation, cost[j]))
-    return LinearProgram("min" if is_max else "max", dual_vars, objective, constraints)
-
-
 def _eliminate(
     other: list[int], den: int, row: list[int], support: list[int], p: int, f: int
 ) -> tuple[list[int], int]:

@@ -43,6 +43,7 @@ from .rational import (
     numerator_over,
     rat,
 )
+from .solvers import ProtocolReport, protocol_report_structure
 
 DEFAULT_SEED = 177013
 DEFAULT_RESTARTS = 800
@@ -462,26 +463,19 @@ def _row(protocol, exact, lower, upper, slack) -> AuditRow:
 
 def audit_structure(
     structure: PiecewiseValueStructure,
-    budgets: Sequence[RationalLike] = (),
+    report: ProtocolReport,
     grid: GridSpec | None = None,
     lambda_steps: int | None = None,
-    overrides=None,
     seed: int = DEFAULT_SEED,
     restarts: int = DEFAULT_RESTARTS,
 ) -> AuditReport:
-    """Compare exact protocol values against grid-oracle bounds.
+    """Bracket the exact values of ``report``, solved for ``structure``, by
+    grid-oracle bounds.
 
-    ``overrides`` substitutes claimed values per protocol before comparison;
-    tests use it as a negative control.  The reweighting grids include the
-    solver's own worst reweighting, pinning the restricted minimum to it.
+    The audit solves no LP: it reads each value and worst reweighting from the
+    report, and its reweighting grids include those reweightings, pinning each
+    restricted minimum to the solver's own.  The budgets are the report's caps.
     """
-    from .solvers import (
-        value_bp_structure,
-        value_ct_structure,
-        value_mdmb_budget_structure,
-        value_mdmb_structure,
-    )
-
     dim = structure.dim
     if dim > 3:
         raise TooManyTypes("oracle audits support at most 3 types")
@@ -489,25 +483,20 @@ def audit_structure(
         grid = GridSpec(snapped_resolution(structure, 256) if dim <= 2 else 60)
     if lambda_steps is None:
         lambda_steps = 32 if dim <= 2 else 4
-    overrides = overrides or {}
 
-    exact_bp = overrides.get("bp", value_bp_structure(structure))
-    exact_ct = overrides.get("ct", value_ct_structure(structure))
-    mdmb_value, cert = value_mdmb_structure(structure)
-    exact_mdmb = overrides.get("mdmb", mdmb_value)
-
+    cert = report.certificate
     prior_lam = SubjectivePrior.from_belief(structure.prior)
     rows = []
 
     bp_lower = grid_concavify(structure, prior_lam, None, grid, seed, restarts)
     rows.append(
-        _row("bp", exact_bp, bp_lower, None, lipschitz_slack(structure, prior_lam, None, grid))
+        _row("bp", report.bp, bp_lower, None, lipschitz_slack(structure, prior_lam, None, grid))
     )
 
     if dim == 2:
         ct_lower = grid_qcav_binary(structure, grid)
         rows.append(
-            _row("ct", exact_ct, ct_lower, None, lipschitz_slack(structure, prior_lam, None, grid))
+            _row("ct", report.ct, ct_lower, None, lipschitz_slack(structure, prior_lam, None, grid))
         )
 
     lam_grid = simplex_lambda_grid(dim, lambda_steps)
@@ -525,13 +514,11 @@ def audit_structure(
             lipschitz_slack(structure, SubjectivePrior.degenerate(2, t), None, grid)
             for t in range(2)
         )
-        rows.append(_row("mdmb", exact_mdmb, vertex_lower, upper, max(slack, vslack)))
+        rows.append(_row("mdmb", report.mdmb, vertex_lower, upper, max(slack, vslack)))
     else:
-        rows.append(_row("mdmb", exact_mdmb, None, upper, slack))
+        rows.append(_row("mdmb", report.mdmb, None, upper, slack))
 
-    for label, cap in [("md", rat(0))] + [(f"mdmb[C={rat(c)}]", rat(c)) for c in budgets]:
-        c_value, c_cert = value_mdmb_budget_structure(structure, cap)
-        c_exact = overrides.get(label, c_value)
+    for i, (cap, c_cert) in enumerate(report.capped):
         c_grid: list[SubjectivePrior] = [c_cert.lambda_star]
         if dim == 2:
             c_grid.extend(affine_lambda_grid_binary(-4, 2, 48))
@@ -539,7 +526,8 @@ def audit_structure(
         c_slack = max(
             lipschitz_slack(structure, lam, cap, grid) for lam in (c_arg, c_cert.lambda_star)
         )
-        rows.append(_row(label, c_exact, None, c_upper, c_slack))
+        label = f"mdmb[C={cap}]" if i else "md"
+        rows.append(_row(label, c_cert.value, None, c_upper, c_slack))
 
     return AuditReport(tuple(rows))
 
@@ -549,13 +537,13 @@ def audit_report(
     budgets: Sequence[RationalLike] = (),
     grid: GridSpec | None = None,
     lambda_steps: int | None = None,
-    overrides=None,
     seed: int = DEFAULT_SEED,
     restarts: int = DEFAULT_RESTARTS,
 ) -> AuditReport:
+    """Solve ``game``'s protocol report at ``budgets`` once, then audit it."""
     game = restrict_to_support(game)
     if game.n_types > 3:
         raise TooManyTypes("oracle audits support at most 3 types")
-    return audit_structure(
-        compile_pieces(game), budgets, grid, lambda_steps, overrides, seed, restarts
-    )
+    structure = compile_pieces(game)
+    report = protocol_report_structure(structure, budgets)
+    return audit_structure(structure, report, grid, lambda_steps, seed, restarts)

@@ -316,12 +316,24 @@ def verify_saddle(
 
 @dataclass(frozen=True)
 class ProtocolReport:
+    """The five protocol values.  ``capped`` keeps each capped solve's
+    (budget, certificate), budget 0 (MD) first and then the caps ascending;
+    the oracle audit reads each value and worst reweighting from it.
+    ``certificate`` is the saddle behind ``mdmb``."""
+
     ct: Rational
-    md: Rational
-    budgeted: tuple[tuple[Rational, Rational], ...]  # (budget, value), ascending
+    capped: tuple[tuple[Rational, SaddleCertificate], ...]
     mdmb: Rational
     bp: Rational
     certificate: SaddleCertificate
+
+    @property
+    def md(self) -> Rational:
+        return self.capped[0][1].value
+
+    @property
+    def budgeted(self) -> tuple[tuple[Rational, Rational], ...]:
+        return tuple((c, cert.value) for c, cert in self.capped[1:])
 
     def chain(self) -> tuple[Rational, ...]:
         return (self.ct, self.md) + tuple(v for _, v in self.budgeted) + (self.mdmb, self.bp)
@@ -330,13 +342,12 @@ class ProtocolReport:
 def protocol_report_structure(
     structure: PiecewiseValueStructure, budgets: Sequence[RationalLike] = ()
 ) -> ProtocolReport:
-    caps = sorted(rat(c) for c in budgets)
+    caps = [ZERO] + sorted(rat(c) for c in budgets)
     ct = value_ct_structure(structure)
-    md, _ = value_mdmb_budget_structure(structure, 0)
-    budgeted = tuple((c, value_mdmb_budget_structure(structure, c)[0]) for c in caps)
+    capped = tuple((c, value_mdmb_budget_structure(structure, c)[1]) for c in caps)
     mdmb, cert = value_mdmb_structure(structure)
     bp = value_bp_structure(structure)
-    report = ProtocolReport(ct, md, budgeted, mdmb, bp, cert)
+    report = ProtocolReport(ct, capped, mdmb, bp, cert)
     values = report.chain()
     for lo, hi in zip(values, values[1:]):
         if lo > hi:

@@ -24,6 +24,7 @@ from medburn.solvers import (
     SaddleCertificate,
     interim_payoffs,
     max_selection,
+    protocol_report_structure,
     value_bp,
     value_ct,
     value_md,
@@ -279,7 +280,9 @@ def test_criterion_8_oracle_dominance(salesman, three_actions, influencer, abstr
         "binary-sales": audit_report(salesman, budgets=[2], grid=GridSpec(4096)),
         "binary-hedge": audit_report(three_actions, grid=GridSpec(1920)),
         "three-type": audit_report(influencer, grid=GridSpec(60)),
-        "direct": audit_structure(abstract_structure, grid=GridSpec(60)),
+        "direct": audit_structure(
+            abstract_structure, protocol_report_structure(abstract_structure), grid=GridSpec(60)
+        ),
     }
     for name, audit in audits.items():
         for row in audit.rows:

@@ -12,6 +12,7 @@ from medburn.rational import rat
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 PINNED_CLI_DIGEST = "53b7b3222d48079b3c169f2ee695d56c650b7184c2ec1c7d781b04941f15ca08"
+PINNED_SWEEP_DIGEST = "9b9d01656148846bc72b8639c0a0b1b0da98376a6fe37f56593469979576a432"
 
 
 def run(capsys, *argv):
@@ -295,3 +296,31 @@ def test_cli_output_is_pinned(capsys):
             texts.append(f"{name} {command} exit {code}\n{out}")
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == PINNED_CLI_DIGEST
+
+
+def test_sweep_output_is_pinned(capsys):
+    # The digest pins the exit code and every stdout byte of four sweeps:
+    # a binary grid with budgets given out of order, explicit fractions, a
+    # game swept through a boundary prior, and direct pieces at two priors.
+    runs = [
+        ("salesman", "--steps", "20", "--budget", "2", "--budget", "1"),
+        ("three_actions", "--budget", "1", "--fractions"),
+        ("influencer", "--prior", "1/3,1/3,1/3", "--prior", "0,1/2,1/2", "--prior", "1/2,1/4,1/4"),
+        ("abstract_pieces", "--prior", "1/3,1/3,1/3", "--prior", "1/5,2/5,2/5"),
+    ]
+    texts = []
+    for name, *options in runs:
+        code, out, _ = run(capsys, "sweep", GAMES / f"{name}.json", *options)
+        texts.append(f"{name} sweep exit {code}\n{out}")
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == PINNED_SWEEP_DIGEST
+
+
+def test_verify_budget_order_does_not_matter(capsys):
+    # Audit rows follow the report's ascending caps, whatever the flag order.
+    path = GAMES / "salesman.json"
+    first = run(capsys, "verify", path, "--budget", "2", "--budget", "1")
+    second = run(capsys, "verify", path, "--budget", "1", "--budget", "2")
+    assert first[0] == 0
+    assert first == second
+    assert first[1].index("mdmb[C=1]") < first[1].index("mdmb[C=2]")

@@ -7,8 +7,11 @@ import pytest
 from scipy.optimize import linprog
 
 from medburn.lp import (
+    EQ,
     FREE,
+    GE,
     INFEASIBLE,
+    LE,
     NONNEG,
     OPTIMAL,
     UNBOUNDED,
@@ -16,14 +19,48 @@ from medburn.lp import (
     MalformedProgram,
     dual_feasible,
     dual_objective,
-    dual_program,
     farkas_valid,
     primal_feasible,
     solve,
 )
-from medburn.rational import format_fraction, rat
+from medburn.rational import ONE, ZERO, Rational, format_fraction, rat
 
 PINNED_VERTEX_DIGEST = "387f665eec5e11fc15b6f5c722bfa21b37d587e63a173bbcecc51ff64ccc6cdd"
+
+
+def dual_program(lp: LinearProgram) -> LinearProgram:
+    """The symmetric dual; solving it reproduces the optimal value exactly.
+
+    Nonnegative dual variables stand for the natural-sign multiplier of each
+    inequality (y >= 0 on <= rows of a max program, on >= rows of a min
+    program); rows of the opposite orientation enter negated.
+    """
+    is_max = lp.sense == "max"
+
+    def mult(i: int) -> Rational:
+        relation = lp.constraints[i][1]
+        if relation == EQ:
+            return ONE
+        natural = LE if is_max else GE
+        return ONE if relation == natural else -ONE
+
+    dual_vars = tuple(
+        (f"y{i}", FREE if relation == EQ else NONNEG)
+        for i, (_, relation, _) in enumerate(lp.constraints)
+    )
+    objective = {i: mult(i) * lp.constraints[i][2] for i in range(len(lp.constraints))}
+    cols: dict[int, dict[int, Rational]] = {j: {} for j in range(lp.n_vars)}
+    for i, (row, _, _) in enumerate(lp.constraints):
+        for j, c in row:
+            cols[j][i] = mult(i) * c
+    cost = {j: ZERO for j in range(lp.n_vars)}
+    for j, c in lp.objective:
+        cost[j] = c
+    constraints = []
+    for j, (_, sign) in enumerate(lp.variables):
+        relation = EQ if sign == FREE else (GE if is_max else LE)
+        constraints.append((cols[j], relation, cost[j]))
+    return LinearProgram("min" if is_max else "max", dual_vars, objective, constraints)
 
 
 def test_simple_bounded_max():

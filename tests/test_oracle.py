@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -22,7 +23,7 @@ from medburn.oracle import (
     snapped_resolution,
 )
 from medburn.rational import format_fraction
-from medburn.solvers import value_bp, value_mdmb
+from medburn.solvers import protocol_report_structure, value_bp, value_mdmb
 from random_games import game_corpus
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
@@ -158,7 +159,9 @@ def test_audit_fixture_games(salesman, three_actions):
 
 
 def test_audit_structure_direct(abstract_structure):
-    report = audit_structure(abstract_structure, grid=GridSpec(60))
+    report = audit_structure(
+        abstract_structure, protocol_report_structure(abstract_structure), grid=GridSpec(60)
+    )
     assert report.ok
     by_name = {r.protocol: r for r in report.rows}
     assert by_name["bp"].exact == rat(5, 2)
@@ -166,10 +169,40 @@ def test_audit_structure_direct(abstract_structure):
 
 
 def test_audit_negative_control(salesman):
-    report = audit_report(salesman, overrides={"mdmb": rat(9, 10)}, grid=GridSpec(256))
+    # A report claiming a wrong MDMB value must be flagged on that row alone.
+    structure = compile_pieces(salesman)
+    doctored = dataclasses.replace(protocol_report_structure(structure), mdmb=rat(9, 10))
+    report = audit_structure(structure, doctored, grid=GridSpec(256))
     assert not report.ok
     flagged = [r.protocol for r in report.rows if not r.satisfied]
     assert flagged == ["mdmb"]
+
+
+def test_audit_negative_control_md(salesman):
+    # The same for the budget-0 (mediation) certificate's value.
+    structure = compile_pieces(salesman)
+    report = protocol_report_structure(structure, [2])
+    (zero, cert), *caps = report.capped
+    wrong = dataclasses.replace(cert, value=rat(1, 2))
+    doctored = dataclasses.replace(report, capped=((zero, wrong), *caps))
+    audit = audit_structure(structure, doctored, grid=GridSpec(256))
+    flagged = [r.protocol for r in audit.rows if not r.satisfied]
+    assert flagged == ["md"]
+
+
+@pytest.mark.parametrize("name", ["abstract_pieces", "influencer", "salesman", "three_actions"])
+def test_audit_solves_no_lp(monkeypatch, name):
+    # Every exact value comes from the report: with each binding of ``solve``
+    # made to raise, the audit of an already solved report still runs and passes.
+    structure = load_game_file(str(GAMES / f"{name}.json")).any_structure()
+    report = protocol_report_structure(structure, [1, 2])
+
+    def refuse(program):
+        raise AssertionError("the audit solved an LP")
+
+    for module in ("medburn.geometry", "medburn.envelopes", "medburn.solvers"):
+        monkeypatch.setattr(f"{module}.solve", refuse)
+    assert audit_structure(structure, report).ok
 
 
 def test_random_binary_games_dominance():
@@ -211,7 +244,8 @@ def test_audit_rows_are_pinned():
     texts = []
     for name in ("abstract_pieces", "influencer", "salesman", "three_actions"):
         structure = load_game_file(str(GAMES / f"{name}.json")).any_structure()
-        texts.append(_audit_text(audit_structure(structure, [1, 2])))
+        report = protocol_report_structure(structure, [1, 2])
+        texts.append(_audit_text(audit_structure(structure, report)))
     for game in game_corpus(40, seed=8112):
         if game.n_types > 3:
             continue
