@@ -7,7 +7,7 @@ prior) or a ``direct_pieces`` value structure over the same prior, plus an
 optional ``expected`` block of protocol values that ``verify`` re-checks.
 
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 unsupported sweep
-dimension, 5 verification violation, 6 an exact LP certificate check failed.
+dimension, 5 verification violation, 6 an exact certificate check failed.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def cmd_sweep(args) -> int:
         return EXIT_SWEEP
 
     header = ["prior", "ct", "md"]
-    header += [f"mdmb_C{format_fraction(c)}" for c in sorted(budgets)]
+    header += [f"mdmb_C{format_fraction(c)}" for c in sorted(set(budgets))]
     header += ["mdmb", "bp"]
     lines = [",".join(header)]
     base = spec.structure or compile_pieces(spec.game)

@@ -63,13 +63,24 @@ class Polytope:
         """Homogenized rows: a.mu REL b becomes (a - b*1).z REL 0.
 
         Scaling a belief by a nonnegative mass keeps these rows valid, so they
-        cut out the cone over the polytope; coordinate nonnegativity rides on
-        the LP variable signs and the trivial sum row drops out.
+        cut out the cone over the polytope.  The cone's variables are
+        nonnegative, so rows that z >= 0 already implies are left out: a
+        ``>=`` row with no negative coefficient (every simplex row mu_t >= 0
+        is one), a ``<=`` row with no positive coefficient, and the all-zero
+        row the sum constraint becomes.  Every other ``=`` row is kept.
         """
         out = []
         for coeffs, relation, rhs in self.rows:
             shifted = tuple(c - rhs for c in coeffs)
-            if any(c != 0 for c in shifted):
+            negative = any(c < 0 for c in shifted)
+            positive = any(c > 0 for c in shifted)
+            if relation == GE:
+                needed = negative
+            elif relation == LE:
+                needed = positive
+            else:
+                needed = negative or positive
+            if needed:
                 out.append((shifted, relation))
         return tuple(out)
 

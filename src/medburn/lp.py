@@ -2,11 +2,11 @@
 
 Two-phase tableau simplex with Bland's anti-cycling rule.  The tableau is
 fraction-free: each row is a list of Python ints over one positive
-denominator, the least common denominator of the row's entries.  A pivot
-updates a row by integer cross-multiplication and then divides out the gcd
-of the row and its denominator (integer-preserving elimination in the style
-of Edmonds 1967 and Bareiss 1968), so every step is still exact rational
-arithmetic.  Rationals are rebuilt only for the returned vectors.  An
+denominator.  A pivot updates a row by integer cross-multiplication
+(integer-preserving elimination in the style of Edmonds 1967 and Bareiss
+1968) and divides out the gcd of the row and its denominator only once the
+denominator passes ``REDUCE_BITS`` bits, so every step is still exact
+rational arithmetic.  Rationals are rebuilt only for the returned vectors.  An
 ``optimal`` answer comes with a primal point and dual multipliers that
 satisfy feasibility and strong duality exactly, and an ``infeasible`` answer
 carries a Farkas combination of the rows; both are checked in rationals
@@ -194,14 +194,22 @@ def farkas_valid(lp: LinearProgram, u: Sequence[Rational]) -> bool:
     return dual_objective(lp, u) > 0
 
 
+# A row is divided by the gcd of its denominator and numerators only once the
+# denominator grows past this many bits.  Below it, a gcd of the whole row
+# costs more than the longer integers it would save.
+REDUCE_BITS = 256
+
+
 def _eliminate(
     other: list[int], den: int, row: list[int], support: list[int], p: int, f: int
 ) -> tuple[list[int], int]:
-    """``other/den - (f/den) * row/p`` in lowest common-denominator form.
+    """``other/den - (f/den) * row/p`` over one positive common denominator.
 
     ``row/p`` is a pivot row whose entry in the eliminated column is one
     (``row[c] == p``), ``support`` lists its nonzero positions, and ``f`` is
-    ``other``'s numerator in that column, so the result is zero there.
+    ``other``'s numerator in that column, so the result is zero there.  The
+    result is reduced to lowest terms only when its denominator exceeds
+    ``REDUCE_BITS`` bits.
     """
     q = math.gcd(f, p)
     if q > 1:
@@ -214,7 +222,7 @@ def _eliminate(
         den *= p
     for k in support:
         new[k] -= f * row[k]
-    if den > 1:
+    if den.bit_length() > REDUCE_BITS:
         g = math.gcd(den, *new)
         if g > 1:
             new = [v // g for v in new]
@@ -226,11 +234,14 @@ class _Tableau:
     """Dense two-phase simplex working state.
 
     Row ``i`` holds the rationals ``rows[i][k] / dens[i]``: Python ints over
-    one positive denominator per row, with no factor common to the whole
-    row, so ``dens[i]`` is the least common denominator of its entries.
-    The objective row is ``objrow[k] / objden`` in the same form.  Signs
-    and ratio-test comparisons read the integers directly; rationals are
-    rebuilt only when the primal and dual vectors are extracted.
+    one positive denominator per row.  Either ``dens[i]`` has at most
+    ``REDUCE_BITS`` bits, or it is the least common denominator of the
+    row's entries: below the bound a row may share a factor with its
+    denominator.  The objective row is ``objrow[k] / objden`` in the same
+    form.  Signs and ratio-test comparisons read the numerators of
+    one row at a time, so a common factor changes no decision; rationals,
+    in lowest terms, are rebuilt only when the primal and dual vectors are
+    extracted.
     """
 
     def __init__(self, lp: LinearProgram):

@@ -34,6 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import Belief, PersuasionGame, SubjectivePrior, restrict_to_support
 from .geometry import PiecewiseValueStructure, compile_pieces
+from .lp import CertificateError
 from .rational import (
     ONE,
     ZERO,
@@ -398,7 +399,7 @@ def grid_qcav_binary(structure: PiecewiseValueStructure, grid: GridSpec) -> Rati
         right = any(x >= x0 and v >= level for x, v in points)
         if left and right:
             return rat(level, table.vden)
-    raise AssertionError("some level must be feasible")
+    raise CertificateError("no grid level straddles the prior")
 
 
 def simplex_lambda_grid(dim: int, steps: int) -> list[SubjectivePrior]:

@@ -317,9 +317,10 @@ def verify_saddle(
 @dataclass(frozen=True)
 class ProtocolReport:
     """The five protocol values.  ``capped`` keeps each capped solve's
-    (budget, certificate), budget 0 (MD) first and then the caps ascending;
-    the oracle audit reads each value and worst reweighting from it.
-    ``certificate`` is the saddle behind ``mdmb``."""
+    (budget, certificate), budget 0 (MD) first and then the distinct caps
+    ascending; a cap of 0 shares MD's certificate.  The oracle audit reads
+    each value and worst reweighting from it.  ``certificate`` is the saddle
+    behind ``mdmb``."""
 
     ct: Rational
     capped: tuple[tuple[Rational, SaddleCertificate], ...]
@@ -342,9 +343,10 @@ class ProtocolReport:
 def protocol_report_structure(
     structure: PiecewiseValueStructure, budgets: Sequence[RationalLike] = ()
 ) -> ProtocolReport:
-    caps = [ZERO] + sorted(rat(c) for c in budgets)
+    caps = [ZERO] + sorted({rat(c) for c in budgets})
     ct = value_ct_structure(structure)
-    capped = tuple((c, value_mdmb_budget_structure(structure, c)[1]) for c in caps)
+    certs = {c: value_mdmb_budget_structure(structure, c)[1] for c in dict.fromkeys(caps)}
+    capped = tuple((c, certs[c]) for c in caps)
     mdmb, cert = value_mdmb_structure(structure)
     bp = value_bp_structure(structure)
     report = ProtocolReport(ct, capped, mdmb, bp, cert)

@@ -324,3 +324,25 @@ def test_verify_budget_order_does_not_matter(capsys):
     assert first[0] == 0
     assert first == second
     assert first[1].index("mdmb[C=1]") < first[1].index("mdmb[C=2]")
+
+
+def test_values_repeated_budgets_print_one_line_per_cap(capsys):
+    code, out, _ = run(
+        capsys, "values", GAMES / "salesman.json", "--budget", "1", "--budget", "1",
+        "--budget", "1/1", "--budget", "0", "--fractions",
+    )
+    assert code == 0
+    assert out.splitlines() == ["CT 0", "MD 0", "MDMB[C=0] 0", "MDMB[C=1] 0", "MDMB 1/3", "BP 1/2"]
+
+
+def test_sweep_repeated_budgets_share_one_column(capsys):
+    # steps 4 sweeps the two boundary priors too, which are solved on their own
+    code, out, _ = run(
+        capsys, "sweep", GAMES / "salesman.json", "--steps", "4", "--budget", "2",
+        "--budget", "1", "--budget", "2", "--fractions",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "prior,ct,md,mdmb_C1,mdmb_C2,mdmb,bp"
+    assert len(lines) == 6
+    assert all(len(line.split(",")) == 7 for line in lines)

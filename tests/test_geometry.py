@@ -8,6 +8,7 @@ from medburn.geometry import (
     tie_region,
     value_interval,
 )
+from medburn.lp import GE, LE
 from medburn.oracle import grid_beliefs
 from medburn.solvers import protocol_report
 
@@ -142,3 +143,41 @@ def test_subset_value_consistency(influencer):
             piece = structure.pieces[idx]
             assert lo <= piece.vmin <= hi
             assert lo <= piece.vmax <= hi
+
+
+def _implied_by_signs(coeffs, relation):
+    """True when every z >= 0 satisfies ``coeffs . z REL 0``."""
+    if relation == GE:
+        return all(c >= 0 for c in coeffs)
+    if relation == LE:
+        return all(c <= 0 for c in coeffs)
+    return all(c == 0 for c in coeffs)
+
+
+def _holds(coeffs, relation, mu):
+    lhs = sum(c * w for c, w in zip(coeffs, mu.weights))
+    if relation == GE:
+        return lhs >= 0
+    if relation == LE:
+        return lhs <= 0
+    return lhs == 0
+
+
+@pytest.mark.parametrize("fixture", ["salesman", "influencer"])
+def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
+    structure = compile_pieces(request.getfixturevalue(fixture))
+    n = structure.dim
+    for piece in structure.pieces:
+        region = piece.region
+        homogenized = [
+            (tuple(c - rhs for c in coeffs), relation) for coeffs, relation, rhs in region.rows
+        ]
+        kept = region.cone_rows()
+        assert not any(_implied_by_signs(*row) for row in kept)
+        assert kept == tuple(row for row in homogenized if not _implied_by_signs(*row))
+        # the n simplex rows mu_t >= 0 and the sum row are among the dropped ones
+        assert len(homogenized) - len(kept) >= n + 1
+        # the cone still cuts the region out of the simplex
+        for mu in grid_beliefs(n, 24):
+            inside = all(_holds(coeffs, relation, mu) for coeffs, relation in kept)
+            assert inside == region.contains(mu)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import medburn.lp as lp_module
 from medburn.lp import (
     EQ,
     FREE,
@@ -226,9 +228,10 @@ def test_dual_round_trip_on_random_lps():
         checked += 1
 
 
-def _random_rational_lp(rng, box):
-    def frac(lo, hi):
-        return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+def _random_rational_lp(rng, box, frac=None):
+    if frac is None:
+        def frac(lo, hi):
+            return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
 
     n = rng.randint(1, 5)
     m = rng.randint(1, 6)
@@ -321,3 +324,62 @@ def test_returned_vertices_are_pinned():
     text = "\n".join(_vertex_text(solve(lp)) for lp in programs)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == PINNED_VERTEX_DIGEST
+
+
+def _coprime_denominators(rng, count, bits=60):
+    """``count`` pairwise co-prime integers of ``bits`` bits."""
+    out = []
+    while len(out) < count:
+        d = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if all(math.gcd(d, e) == 1 for e in out):
+            out.append(d)
+    return out
+
+
+def test_wide_denominators_reduce_lazily(monkeypatch):
+    # Every coefficient and right-hand side carries one of twelve co-prime
+    # 60-bit denominators, so row denominators pass ``REDUCE_BITS`` within a
+    # pivot or two and reach the deferred gcd branch of ``_eliminate``.  The
+    # boxed programs are never unbounded.  The answers still verify exactly,
+    # agree with HiGHS, and equal, byte for byte, the answers of a tableau
+    # that reduces every row at every pivot.
+    rng = random.Random(604931)
+    dens = _coprime_denominators(rng, 12)
+
+    def wide(lo, hi):
+        den = rng.choice(dens)
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    programs = [_random_rational_lp(rng, box=True, frac=wide) for _ in range(40)]
+
+    widest = []
+    eliminate = lp_module._eliminate
+
+    def recording(other, den, row, support, p, f):
+        widest.append((den * (p // math.gcd(f, p))).bit_length())
+        return eliminate(other, den, row, support, p, f)
+
+    monkeypatch.setattr(lp_module, "_eliminate", recording)
+    lazy = [solve(lp) for lp in programs]
+    assert sum(bits > lp_module.REDUCE_BITS for bits in widest) >= 100
+
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for lp, sol in zip(programs, lazy):
+        ref = _scipy_solve(lp)
+        seen[sol.status] += 1
+        if sol.status == OPTIMAL:
+            assert ref.status == 0
+            ours = float(sol.value)
+            target = -ref.fun if lp.sense == "max" else ref.fun
+            assert abs(ours - target) < 1e-9 * max(1.0, abs(ours))
+            assert primal_feasible(lp, sol.primal)
+            assert dual_feasible(lp, sol.dual)
+            assert dual_objective(lp, sol.dual) == sol.value
+        else:
+            assert sol.status == INFEASIBLE
+            assert ref.status == 2
+            assert farkas_valid(lp, sol.farkas)
+    assert min(seen.values()) >= 1, seen
+
+    monkeypatch.setattr(lp_module, "REDUCE_BITS", 0)
+    assert [solve(lp) for lp in programs] == lazy

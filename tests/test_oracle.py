@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import medburn.oracle as oracle
 from medburn import Belief, SubjectivePrior, rat
-from medburn.cli import load_game_file
+from medburn.cli import EXIT_CERTIFICATE, load_game_file, main
 from medburn.geometry import compile_pieces
+from medburn.lp import CertificateError
 from medburn.oracle import (
     GridSpec,
     TooManyTypes,
@@ -90,6 +92,36 @@ def test_grid_min_lambda_single_piece(single_action):
 def test_grid_qcav(salesman, three_actions):
     assert grid_qcav_binary(compile_pieces(salesman), GridSpec(1024)) == 0
     assert grid_qcav_binary(compile_pieces(three_actions), GridSpec(1920)) == rat(1, 4)
+
+
+def _prior_past_the_grid(table):
+    """The table with its prior moved right of every grid point, off the
+    table's values: no superlevel set can straddle it."""
+    ghost = (table.scale + 1,) + table.coords[table.prior_idx][1:]
+    return table._replace(coords=table.coords + (ghost,), prior_idx=len(table.coords))
+
+
+def test_grid_qcav_refuses_when_no_level_is_feasible(salesman, monkeypatch):
+    grid_table = oracle._grid_table
+    monkeypatch.setattr(oracle, "_grid_table", lambda s, r: _prior_past_the_grid(grid_table(s, r)))
+    with pytest.raises(CertificateError, match="no grid level straddles the prior"):
+        grid_qcav_binary(compile_pieces(salesman), GridSpec(64))
+
+
+def test_verify_exits_on_a_table_without_feasible_level(monkeypatch, capsys):
+    # Only the quasi-concave oracle sees the doctored table; the CLI reports
+    # the failure as a certificate error, not a traceback.
+    grid_table, qcav = oracle._grid_table, oracle.grid_qcav_binary
+
+    def doctored_qcav(structure, grid):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_grid_table", lambda s, r: _prior_past_the_grid(grid_table(s, r)))
+            return qcav(structure, grid)
+
+    monkeypatch.setattr(oracle, "grid_qcav_binary", doctored_qcav)
+    assert main(["verify", str(GAMES / "salesman.json")]) == EXIT_CERTIFICATE
+    captured = capsys.readouterr()
+    assert captured.err == "certificate error: no grid level straddles the prior\n"
 
 
 def test_hull_matches_literal_pair_search(three_actions):

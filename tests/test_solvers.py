@@ -1,6 +1,8 @@
 import pytest
 
+import medburn.solvers as solvers
 from medburn import Belief, PosteriorDistribution, SubjectivePrior, rat, validate_game
+from medburn.geometry import compile_pieces
 from medburn.solvers import (
     InadmissibleValue,
     NotBinary,
@@ -185,3 +187,27 @@ def test_protocol_report_structure(abstract_structure):
 def test_protocol_report_degenerate_prior(salesman):
     report = protocol_report(salesman.with_prior(Belief([1, 0])), [2])
     assert set(report.chain()) == {rat(1)}  # buy is optimal when quality is known high
+
+
+def test_protocol_report_solves_each_distinct_cap_once(salesman, monkeypatch):
+    solved = []
+    worst_prior_envelope = solvers.worst_prior_envelope
+
+    def counting(structure, budget):
+        solved.append(budget)
+        return worst_prior_envelope(structure, budget)
+
+    monkeypatch.setattr(solvers, "worst_prior_envelope", counting)
+    structure = compile_pieces(salesman)
+    report = protocol_report_structure(structure, [1, 1, "1/1"])
+    assert solved == [0, 1, None]
+    assert report.budgeted == ((1, 0),)
+
+    # a zero cap is mediation: its row reuses MD's certificate
+    solved.clear()
+    report = protocol_report_structure(structure, [2, 0])
+    assert solved == [0, 2, None]
+    (md_cap, md_cert), (zero_cap, zero_cert), (two_cap, _) = report.capped
+    assert (md_cap, zero_cap, two_cap) == (0, 0, 2)
+    assert zero_cert is md_cert
+    assert report.budgeted == ((0, report.md), (2, rat(1, 5)))
