@@ -36,7 +36,7 @@ class AllTypesNull(GameValidationError):
 
 
 def _rat_tuple(values: Iterable[RationalLike]) -> tuple[Rational, ...]:
-    return tuple(rat(v) for v in values)
+    return tuple([rat(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Belief:
         return self.weights[i]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w > 0)
+        return tuple([i for i, w in enumerate(self.weights) if w > 0])
 
     def is_degenerate_on(self, i: int) -> bool:
         return self.weights[i] == ONE
@@ -130,7 +130,7 @@ class PosteriorDistribution:
     atoms: tuple[tuple[Belief, Rational], ...]
 
     def __init__(self, atoms: Iterable[tuple[Belief, RationalLike]]):
-        packed = tuple((b, rat(w)) for b, w in atoms)
+        packed = tuple([(b, rat(w)) for b, w in atoms])
         object.__setattr__(self, "atoms", packed)
         if not packed:
             raise ValueError("posterior distribution needs at least one atom")

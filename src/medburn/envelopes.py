@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .core import Belief, PosteriorDistribution, SubjectivePrior
 from .geometry import PiecewiseValueStructure
 from .lp import EQ, FREE, LE, NONNEG, OPTIMAL, CertificateError, LinearProgram, solve
-from .rational import ONE, ZERO, Rational, rat
+from .rational import ONE, ZERO, Rational, over_common_denominator, rat
 
 MAX_BRANCH = "max"
 MIN_BRANCH = "min"
@@ -105,7 +105,7 @@ def _cone_blocks(structure: PiecewiseValueStructure, pieces: list[int]):
     ]
     cone = []
     for b, k in enumerate(pieces):
-        for coeffs, relation in structure.pieces[k].region.cone_rows():
+        for coeffs, relation in structure.pieces[k].region.cone_rows:
             cone.append(({b * n + t: c for t, c in enumerate(coeffs) if c != 0}, relation, ZERO))
     return variables, mass, cone
 
@@ -118,14 +118,15 @@ def _extract_atoms(
     n = structure.dim
     atoms = []
     for b, (k, branch, coeff) in enumerate(blocks):
-        z = [primal[b * n + t] for t in range(n)]
-        mass = sum(z, ZERO)
+        z, den = over_common_denominator(primal[b * n : (b + 1) * n])
+        mass = sum(z)
         if mass == 0:
             continue
-        belief = Belief([v / mass for v in z])
-        if not structure.pieces[k].region.contains(belief):
+        # the atom's belief is z / mass
+        if not structure.pieces[k].region.contains_scaled(z, mass):
             raise CertificateError("atom left its piece")
-        atoms.append(DecompositionAtom(belief, mass, k, branch, coeff))
+        belief = Belief([rat(v, mass) for v in z])
+        atoms.append(DecompositionAtom(belief, rat(mass, den), k, branch, coeff))
     return _merge_atoms(atoms)
 
 

@@ -13,12 +13,15 @@ directly as polytopes with value intervals) plug into the same solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Belief, PersuasionGame
-from .lp import EQ, FREE, GE, LE, NONNEG, OPTIMAL, LinearProgram, solve
-from .rational import ONE, ZERO, Rational, RationalLike, rat
+from .lp import (
+    EQ, FREE, GE, LE, NONNEG, OPTIMAL, IntRows, LinearProgram, integer_rows, rows_hold, solve
+)
+from .rational import ONE, ZERO, Rational, RationalLike, over_common_denominator, rat
 
 
 @dataclass(frozen=True)
@@ -46,19 +49,22 @@ class Polytope:
             rows.append((packed, relation, rat(rhs)))
         return Polytope(dim, tuple(rows))
 
-    def contains(self, mu: Belief) -> bool:
-        if len(mu) != self.dim:
-            return False
-        for coeffs, relation, rhs in self.rows:
-            lhs = sum((c * mu[t] for t, c in enumerate(coeffs) if c != 0), ZERO)
-            if relation == LE and lhs > rhs:
-                return False
-            if relation == GE and lhs < rhs:
-                return False
-            if relation == EQ and lhs != rhs:
-                return False
-        return True
+    @cached_property
+    def int_rows(self) -> IntRows:
+        """``rows`` on integers, nonzero coefficients only, built once per polytope."""
+        return integer_rows(
+            ([(t, c) for t, c in enumerate(coeffs) if c], relation, rhs)
+            for coeffs, relation, rhs in self.rows
+        )
 
+    def contains(self, mu: Belief) -> bool:
+        return self.contains_scaled(*over_common_denominator(mu.weights))
+
+    def contains_scaled(self, point: Sequence[int], scale: int) -> bool:
+        """Whether the belief ``point[t] / scale`` (``scale > 0``) lies in the polytope."""
+        return len(point) == self.dim and rows_hold(self.int_rows, point, scale)
+
+    @cached_property
     def cone_rows(self) -> tuple[tuple[tuple[Rational, ...], str], ...]:
         """Homogenized rows: a.mu REL b becomes (a - b*1).z REL 0.
 
@@ -71,7 +77,7 @@ class Polytope:
         """
         out = []
         for coeffs, relation, rhs in self.rows:
-            shifted = tuple(c - rhs for c in coeffs)
+            shifted = tuple([c - rhs for c in coeffs])
             negative = any(c < 0 for c in shifted)
             positive = any(c > 0 for c in shifted)
             if relation == GE:
@@ -127,7 +133,11 @@ class PiecewiseValueStructure:
         return len(self.prior)
 
     def pieces_at(self, mu: Belief) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.pieces) if p.region.contains(mu))
+        return self.pieces_at_scaled(*over_common_denominator(mu.weights))
+
+    def pieces_at_scaled(self, point: Sequence[int], scale: int) -> tuple[int, ...]:
+        """Indices of the pieces holding the belief ``point[t] / scale``."""
+        return tuple([i for i, p in enumerate(self.pieces) if p.region.contains_scaled(point, scale)])
 
     def interval_at(self, mu: Belief) -> tuple[Rational, Rational]:
         """Achievable-value hull at ``mu`` over the pieces containing it."""
@@ -163,7 +173,7 @@ def best_responses(game: PersuasionGame, mu: Belief) -> tuple[int, ...]:
     """Exact argmax set of the receiver's expected payoff at ``mu``."""
     scores = [game.expected_u(a, mu) for a in range(game.n_actions)]
     top = max(scores)
-    return tuple(a for a, s in enumerate(scores) if s == top)
+    return tuple([a for a, s in enumerate(scores) if s == top])
 
 
 def value_interval(game: PersuasionGame, mu: Belief) -> tuple[Rational, Rational]:

@@ -1,17 +1,18 @@
 """Exact linear programming over rationals with certified answers.
 
-Two-phase tableau simplex with Bland's anti-cycling rule.  The tableau is
-fraction-free: each row is a list of Python ints over one positive
-denominator.  A pivot updates a row by integer cross-multiplication
-(integer-preserving elimination in the style of Edmonds 1967 and Bareiss
-1968) and divides out the gcd of the row and its denominator only once the
-denominator passes ``REDUCE_BITS`` bits, so every step is still exact
-rational arithmetic.  Rationals are rebuilt only for the returned vectors.  An
-``optimal`` answer comes with a primal point and dual multipliers that
-satisfy feasibility and strong duality exactly, and an ``infeasible`` answer
-carries a Farkas combination of the rows; both are checked in rationals
-before returning, and a failed check raises ``CertificateError`` in every
-interpreter mode.  There are no tolerances anywhere.
+Two-phase tableau simplex with Bland's anti-cycling rule.  A program keeps
+its rational ``constraints`` and derives ``int_rows`` from them once: each
+row's numerators over its least common denominator.  The tableau starts from
+those rows and stays fraction-free: a pivot updates a row by integer
+cross-multiplication (integer-preserving elimination in the style of Edmonds
+1967 and Bareiss 1968) and divides out the gcd of the row and its
+denominator only once the denominator passes ``REDUCE_BITS`` bits.
+Rationals are rebuilt only for the returned vectors.  An ``optimal`` answer
+comes with a primal point and dual multipliers that satisfy feasibility and
+strong duality exactly, and an ``infeasible`` answer carries a Farkas
+combination of the rows.  The checks scale the answer to one denominator
+and compare integer sums against ``int_rows``; a failed check raises
+``CertificateError`` in every interpreter mode.  There are no tolerances.
 
 Scale target is desk-sized instances (up to a few hundred variables); no
 attempt is made at sparse factorizations or revised-simplex bookkeeping.
@@ -21,17 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rational import (
-    ONE,
-    ZERO,
-    Rational,
-    RationalLike,
-    lcm_of_denominators,
-    numerator_over,
-    rat,
-)
+from .rational import ONE, ZERO, Rational, RationalLike, over_common_denominator, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -59,14 +53,38 @@ SparseRow = Mapping[int, RationalLike]
 
 
 def _pack_row(row: SparseRow, nvars: int, what: str) -> tuple[tuple[int, Rational], ...]:
-    merged: dict[int, Rational] = {}
+    packed = []
     for j, coeff in row.items():
         if not isinstance(j, int) or isinstance(j, bool) or j < 0 or j >= nvars:
             raise MalformedProgram(f"{what} references undeclared variable {j!r}")
-        c = rat(coeff)
-        if c != 0:
-            merged[j] = merged.get(j, ZERO) + c
-    return tuple(sorted((j, c) for j, c in merged.items() if c != 0))
+        c = coeff if type(coeff) is Rational else rat(coeff)
+        if c:
+            packed.append((j, c))
+    return tuple(sorted(packed))
+
+
+IntRows = tuple[tuple[tuple[tuple[int, int], ...], str, int, int], ...]
+
+
+def integer_rows(rows: Iterable[tuple[Sequence[tuple[int, Rational]], str, Rational]]) -> IntRows:
+    """Sparse rows ``(pairs, relation, rhs)`` on integers: each row's ``(j, numerator)``
+    pairs, relation, rhs numerator and least common denominator they are over."""
+    out = []
+    for pairs, relation, rhs in rows:
+        nums, den = over_common_denominator([c for _, c in pairs] + [rhs])
+        out.append((tuple([(j, v) for (j, _), v in zip(pairs, nums)]), relation, nums[-1], den))
+    return tuple(out)
+
+
+def rows_hold(rows: IntRows, point: Sequence[int], scale: int) -> bool:
+    """Whether the point ``point[j] / scale`` (``scale > 0``) satisfies every integer row."""
+    for pairs, relation, rhs, _ in rows:
+        excess = -rhs * scale
+        for j, c in pairs:
+            excess += c * point[j]
+        if excess > 0 and relation != GE or excess < 0 and relation != LE:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -100,16 +118,17 @@ class LinearProgram:
         object.__setattr__(self, "objective", _pack_row(objective, n, "objective"))
         object.__setattr__(self, "constraints", tuple(cons))
 
+    @cached_property
+    def int_rows(self) -> IntRows:
+        """``constraints`` on integers, built once per program."""
+        return integer_rows(self.constraints)
+
     @property
     def n_vars(self) -> int:
         return len(self.variables)
 
     def objective_value(self, x: Sequence[Rational]) -> Rational:
         return sum((c * x[j] for j, c in self.objective), ZERO)
-
-    def row_value(self, i: int, x: Sequence[Rational]) -> Rational:
-        row, _, _ = self.constraints[i]
-        return sum((c * x[j] for j, c in row), ZERO)
 
 
 @dataclass(frozen=True)
@@ -122,52 +141,55 @@ class LpSolution:
 
 
 def primal_feasible(lp: LinearProgram, x: Sequence[Rational]) -> bool:
-    for name_sign, xj in zip(lp.variables, x):
-        if name_sign[1] == NONNEG and xj < 0:
+    nums, den = over_common_denominator(x)
+    for (_, sign), v in zip(lp.variables, nums):
+        if sign == NONNEG and v < 0:
             return False
-    for i, (_, relation, rhs) in enumerate(lp.constraints):
-        lhs = lp.row_value(i, x)
-        if relation == LE and lhs > rhs:
-            return False
-        if relation == GE and lhs < rhs:
-            return False
-        if relation == EQ and lhs != rhs:
-            return False
-    return True
+    return rows_hold(lp.int_rows, nums, den)
+
+
+def _combine(lp: LinearProgram, y: Sequence[Rational]) -> tuple[list[int], list[int], int, int]:
+    """``sum_i y[i] * (row_i, rhs_i)`` on integers: multipliers ``f`` with
+    ``f[i] / w == y[i] / den_i``, so of ``y[i]``'s sign, then the combined row
+    and rhs as numerators over the one positive denominator ``w``."""
+    rows = lp.int_rows
+    w = math.lcm(*[yi.denominator * r[3] for yi, r in zip(y, rows) if yi])
+    f = [yi.numerator * (w // (yi.denominator * r[3])) for yi, r in zip(y, rows)]
+    combo = [0] * lp.n_vars
+    rhs = 0
+    for fi, (row, _, b, _) in zip(f, rows):
+        if fi:
+            rhs += fi * b
+            for j, c in row:
+                combo[j] += fi * c
+    return f, combo, rhs, w
 
 
 def dual_feasible(lp: LinearProgram, y: Sequence[Rational]) -> bool:
     """Exact feasibility of ``y`` for the dual of ``lp`` (signs and rows)."""
     is_max = lp.sense == "max"
-    for i, (_, relation, _) in enumerate(lp.constraints):
-        if relation == LE and (y[i] < 0 if is_max else y[i] > 0):
+    f, combo, _, w = _combine(lp, y)
+    for fi, (_, relation, _) in zip(f, lp.constraints):
+        if relation == LE and (fi < 0 if is_max else fi > 0):
             return False
-        if relation == GE and (y[i] > 0 if is_max else y[i] < 0):
+        if relation == GE and (fi > 0 if is_max else fi < 0):
             return False
-    combo = [ZERO] * lp.n_vars
-    for i, (row, _, _) in enumerate(lp.constraints):
-        yi = y[i]
-        if yi != 0:
-            for j, c in row:
-                combo[j] += yi * c
-    cost = [ZERO] * lp.n_vars
-    for j, c in lp.objective:
-        cost[j] = c
+    # compare combo / w with the cost row c / cden
+    nums, cden = over_common_denominator([c for _, c in lp.objective])
+    cost = [0] * lp.n_vars
+    for (j, _), v in zip(lp.objective, nums):
+        cost[j] = v * w
     for j, (_, sign) in enumerate(lp.variables):
-        if sign == FREE:
-            if combo[j] != cost[j]:
-                return False
-        elif is_max:
-            if combo[j] < cost[j]:
-                return False
-        else:
-            if combo[j] > cost[j]:
-                return False
+        excess = combo[j] * cden - cost[j]
+        # free: combo == cost; nonneg: combo >= cost (max) or <= cost (min)
+        if excess and (sign == FREE or (excess < 0) == is_max):
+            return False
     return True
 
 
 def dual_objective(lp: LinearProgram, y: Sequence[Rational]) -> Rational:
-    return sum((y[i] * lp.constraints[i][2] for i in range(len(lp.constraints))), ZERO)
+    _, _, rhs, w = _combine(lp, y)
+    return rat(rhs, w)
 
 
 def farkas_valid(lp: LinearProgram, u: Sequence[Rational]) -> bool:
@@ -176,22 +198,18 @@ def farkas_valid(lp: LinearProgram, u: Sequence[Rational]) -> bool:
     Sign-compatible multipliers whose combined row no sign-feasible point can
     make positive, yet with a positive combined rhs: a contradiction witness.
     """
-    for i, (_, relation, _) in enumerate(lp.constraints):
-        if relation == LE and u[i] > 0:
+    f, combo, rhs, _ = _combine(lp, u)
+    for fi, (_, relation, _) in zip(f, lp.constraints):
+        if relation == LE and fi > 0:
             return False
-        if relation == GE and u[i] < 0:
+        if relation == GE and fi < 0:
             return False
-    combo = [ZERO] * lp.n_vars
-    for i, (row, _, _) in enumerate(lp.constraints):
-        if u[i] != 0:
-            for j, c in row:
-                combo[j] += u[i] * c
     for j, (_, sign) in enumerate(lp.variables):
         if sign == FREE and combo[j] != 0:
             return False
         if sign == NONNEG and combo[j] > 0:
             return False
-    return dual_objective(lp, u) > 0
+    return rhs > 0
 
 
 # A row is divided by the gcd of its denominator and numerators only once the
@@ -261,10 +279,10 @@ class _Tableau:
         # Standardize every row to rhs >= 0: ">=" rows are negated into "<="
         # form, and "<=" or "=" rows with a negative rhs are negated.
         m = len(lp.constraints)
-        self.row_scale: list[Rational] = []  # multiplier that standardized row i
+        self.row_scale: list[int] = []  # sign that standardized row i
         kinds: list[str] = []  # "slack" (kept <=) | "tight" (>= or =, rhs >= 0)
-        for _, relation, b in lp.constraints:
-            scale = ONE
+        for _, relation, b, _ in lp.int_rows:
+            scale = 1
             if relation == GE:
                 b, scale, relation = -b, -scale, LE
             if relation == LE and b < 0:
@@ -295,29 +313,26 @@ class _Tableau:
         self.basis: list[int] = []
         self.row_of_orig: list[int] = list(range(m))  # tableau row -> original row
         self.id_col: list[int] = [0] * m  # original row -> its identity column
-        for i, (row, _, b) in enumerate(lp.constraints):
-            den = lcm_of_denominators([b] + [c for _, c in row])
-            sign = 1 if self.row_scale[i] > 0 else -1
+        for i, (row, _, b, den) in enumerate(lp.int_rows):
+            sign = self.row_scale[i]
             nums = [0] * (self.ncols + 1)
-            for j, c in row:
-                v = sign * numerator_over(c, den)
+            for j, v in row:
                 pos, neg = self.col_of_var[j]
-                nums[pos] = v
+                nums[pos] = sign * v
                 if neg is not None:
-                    nums[neg] = -v
-            nums[self.ncols] = sign * numerator_over(b, den)
+                    nums[neg] = -sign * v
+            nums[self.ncols] = sign * b
             aux = aux_of_row[i]
             if aux is not None:
                 nums[aux] = den if kinds[i] == "slack" else -den
             art = art_of_row[i]
             if art is not None:
                 nums[art] = den
-                self.basis.append(art)
-                self.id_col[i] = art
-            else:
-                assert aux is not None
-                self.basis.append(aux)
-                self.id_col[i] = aux
+            ident = aux if art is None else art
+            if ident is None:
+                raise CertificateError(f"row {i} has no identity column")
+            self.basis.append(ident)
+            self.id_col[i] = ident
             self.rows.append(nums)
             self.dens.append(den)
         self.objrow: list[int] = []
@@ -350,9 +365,8 @@ class _Tableau:
         self.basis[r] = c
 
     def _set_objective(self, cost: list[Rational]) -> None:
-        den = lcm_of_denominators(cost)
-        self.objrow = [numerator_over(v, den) for v in cost] + [0]
-        self.objden = den
+        self.objrow, self.objden = over_common_denominator(cost)
+        self.objrow.append(0)
         for r, b in enumerate(self.basis):
             f = self.objrow[b]
             if f:

@@ -80,7 +80,7 @@ def validate_mechanism(game: PersuasionGame, mech: CanonicalMDMB) -> None:
 def atom_values(game: PersuasionGame, mech: CanonicalMDMB) -> tuple[Rational, ...]:
     if mech.values is not None:
         return mech.values
-    return tuple(value_interval(game, b)[1] for b in mech.atoms)
+    return tuple([value_interval(game, b)[1] for b in mech.atoms])
 
 
 def net_payoffs(game: PersuasionGame, mech: CanonicalMDMB) -> tuple[Rational, ...]:
@@ -168,7 +168,7 @@ def construct_optimal_mdmb(
     for t in range(n):
         pi[t][degenerate_at[t]] += d
 
-    vals = tuple(value_interval(game, b)[1] for b in beliefs)
+    vals = tuple([value_interval(game, b)[1] for b in beliefs])
     interim = [
         sum((pi[t][j] * vals[j] for j in range(len(beliefs))), ZERO) for t in range(n)
     ]

@@ -24,7 +24,7 @@ cross-multiplication, and a rational is built once, where a bound is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -42,6 +42,7 @@ from .rational import (
     RationalLike,
     lcm_of_denominators,
     numerator_over,
+    over_common_denominator,
     rat,
 )
 from .solvers import ProtocolReport, protocol_report_structure
@@ -143,8 +144,8 @@ def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTab
         coords.append(prior)
     pieces = structure.pieces
     lo, hi, cover = [], [], []
-    for mu in points:
-        covering = structure.pieces_at(mu)
+    for mu, k in zip(points, coords):
+        covering = structure.pieces_at_scaled(k, scale)
         if not covering:
             raise ValueError(f"no piece covers belief {mu}")
         lo.append(min(pieces[i].vmin for i in covering))
@@ -176,8 +177,7 @@ def _pointwise_values(
     integer for integer coordinates ``k``; ``w`` may be negative.
     """
     ratios = [lam[t] / structure.prior[t] for t in range(structure.dim)]
-    c_den = lcm_of_denominators(ratios)
-    c = [numerator_over(r, c_den) for r in ratios]
+    c, c_den = over_common_denominator(ratios)
     ws = [sum(map(mul, c, k)) for k in table.coords]
     den = c_den * table.scale * table.vden
     if budget is None:
@@ -520,6 +520,11 @@ def audit_structure(
         rows.append(_row("mdmb", report.mdmb, None, upper, slack))
 
     for i, (cap, c_cert) in enumerate(report.capped):
+        label = f"mdmb[C={cap}]" if i else "md"
+        if i and (cap, c_cert) == report.capped[0]:
+            # a zero cap repeats MD's certificate, so it gets MD's bound
+            rows.append(replace(md_row, protocol=label))
+            continue
         c_grid: list[SubjectivePrior] = [c_cert.lambda_star]
         if dim == 2:
             c_grid.extend(affine_lambda_grid_binary(-4, 2, 48))
@@ -527,8 +532,9 @@ def audit_structure(
         c_slack = max(
             lipschitz_slack(structure, lam, cap, grid) for lam in (c_arg, c_cert.lambda_star)
         )
-        label = f"mdmb[C={cap}]" if i else "md"
         rows.append(_row(label, c_cert.value, None, c_upper, c_slack))
+        if not i:
+            md_row = rows[-1]
 
     return AuditReport(tuple(rows))
 

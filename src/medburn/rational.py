@@ -3,17 +3,18 @@
 Every quantity in this package is an exact rational; floats never enter any
 computation.  ``Rational`` is ``fractions.Fraction``: lowest-terms
 numerator/denominator with a positive denominator and exact ``+ - * /``.
-The LP solver's pivot loop and the grid oracle's kernels work on Python
-integers over common denominators (built with the two helpers below) and do
-not use this type; it enters only where programs are built, answers are read
-back and certificates are checked.
+The LP pivot loop and certificate checks, polytope containment and the grid
+oracle's kernels work on Python integers over common denominators, built
+with the helpers below.  ``Fraction`` still enters where games, programs and
+polytope rows are built, where answers, atoms and certificates are read back
+and recombined, and in the saddle and mechanism audits.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
@@ -55,6 +56,12 @@ def lcm_of_denominators(values: Iterable[Rational]) -> int:
 def numerator_over(value: Rational, den: int) -> int:
     """The integer ``n`` with ``n / den == value``; ``den`` is a multiple of its denominator."""
     return value.numerator * (den // value.denominator)
+
+
+def over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator, and that denominator."""
+    den = lcm_of_denominators(values)
+    return [numerator_over(v, den) for v in values], den
 
 
 def format_fraction(value: Rational) -> str:

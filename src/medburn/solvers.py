@@ -60,7 +60,7 @@ def _structure_of(game: PersuasionGame) -> PiecewiseValueStructure:
 def max_selection(game: PersuasionGame, p: PosteriorDistribution) -> tuple[Rational, ...]:
     """The best achievable sender value at each atom."""
     game = restrict_to_support(game)
-    return tuple(value_interval(game, belief)[1] for belief, _ in p.atoms)
+    return tuple([value_interval(game, belief)[1] for belief, _ in p.atoms])
 
 
 def interim_payoffs(
@@ -334,10 +334,10 @@ class ProtocolReport:
 
     @property
     def budgeted(self) -> tuple[tuple[Rational, Rational], ...]:
-        return tuple((c, cert.value) for c, cert in self.capped[1:])
+        return tuple([(c, cert.value) for c, cert in self.capped[1:]])
 
     def chain(self) -> tuple[Rational, ...]:
-        return (self.ct, self.md) + tuple(v for _, v in self.budgeted) + (self.mdmb, self.bp)
+        return (self.ct, self.md) + tuple([v for _, v in self.budgeted]) + (self.mdmb, self.bp)
 
 
 def protocol_report_structure(
@@ -346,7 +346,7 @@ def protocol_report_structure(
     caps = [ZERO] + sorted({rat(c) for c in budgets})
     ct = value_ct_structure(structure)
     certs = {c: value_mdmb_budget_structure(structure, c)[1] for c in dict.fromkeys(caps)}
-    capped = tuple((c, certs[c]) for c in caps)
+    capped = tuple([(c, certs[c]) for c in caps])
     mdmb, cert = value_mdmb_structure(structure)
     bp = value_bp_structure(structure)
     report = ProtocolReport(ct, capped, mdmb, bp, cert)

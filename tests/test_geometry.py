@@ -2,13 +2,16 @@ import pytest
 
 from medburn import Belief, rat, validate_game
 from medburn.geometry import (
+    PiecewiseValueStructure,
+    Polytope,
+    ValuePiece,
     best_responses,
     compile_pieces,
     is_generic,
     tie_region,
     value_interval,
 )
-from medburn.lp import GE, LE
+from medburn.lp import EQ, GE, LE
 from medburn.oracle import grid_beliefs
 from medburn.solvers import protocol_report
 
@@ -172,7 +175,7 @@ def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
         homogenized = [
             (tuple(c - rhs for c in coeffs), relation) for coeffs, relation, rhs in region.rows
         ]
-        kept = region.cone_rows()
+        kept = region.cone_rows
         assert not any(_implied_by_signs(*row) for row in kept)
         assert kept == tuple(row for row in homogenized if not _implied_by_signs(*row))
         # the n simplex rows mu_t >= 0 and the sum row are among the dropped ones
@@ -181,3 +184,41 @@ def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
         for mu in grid_beliefs(n, 24):
             inside = all(_holds(coeffs, relation, mu) for coeffs, relation in kept)
             assert inside == region.contains(mu)
+
+
+def _contains_reference(region, mu):
+    """Containment by ``Fraction`` row sums, the exact reference."""
+    for coeffs, relation, rhs in region.rows:
+        lhs = sum((c * w for c, w in zip(coeffs, mu.weights)), rat(0))
+        if (relation == LE and lhs > rhs) or (relation == GE and lhs < rhs):
+            return False
+        if relation == EQ and lhs != rhs:
+            return False
+    return True
+
+
+def test_integer_containment_matches_fraction_reference(influencer):
+    # Two regions with an '=' row, fractional coefficients and facets through
+    # grid points, plus influencer's pieces; the grid holds the vertices.
+    regions = [
+        Polytope.on_simplex(3, [([1, -1, 0], EQ, 0), (["1/3", "-2/5", "1/2"], LE, "1/5")]),
+        Polytope.on_simplex(3, [([2, 1, 0], GE, "1/2"), ([0, "3/4", -1], LE, "1/4")]),
+    ] + [p.region for p in compile_pieces(influencer).pieces]
+    structure = PiecewiseValueStructure(
+        tuple(ValuePiece(r, rat(0), rat(1)) for r in regions), influencer.prior
+    )
+    tight = {LE: 0, EQ: 0, GE: 0}
+    for mu in grid_beliefs(3, 30) + (influencer.prior,):
+        expected = tuple(i for i, r in enumerate(regions) if _contains_reference(r, mu))
+        assert structure.pieces_at(mu) == expected
+        # the same point over a multiple of its least common denominator
+        scale = 7 * 30 * 60
+        point = [int(w * scale) for w in mu.weights]
+        assert structure.pieces_at_scaled(point, scale) == expected
+        for i, region in enumerate(regions):
+            assert region.contains(mu) == (i in expected)
+            for coeffs, relation, rhs in region.rows[4:]:  # past the simplex rows
+                tight[relation] += i in expected and _holds(
+                    [c - rhs for c in coeffs], EQ, mu
+                )
+    assert min(tight.values()) > 0, tight

@@ -383,3 +383,98 @@ def test_wide_denominators_reduce_lazily(monkeypatch):
 
     monkeypatch.setattr(lp_module, "REDUCE_BITS", 0)
     assert [solve(lp) for lp in programs] == lazy
+
+
+def _checked_corpus():
+    """Boxed rational programs, half of them over wide co-prime denominators,
+    with their solutions."""
+    rng = random.Random(77031)
+    dens = _coprime_denominators(rng, 8)
+
+    def wide(lo, hi):
+        den = rng.choice(dens)
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    programs = [_random_rational_lp(rng, True, wide if k % 2 else None) for k in range(60)]
+    return [(lp, solve(lp)) for lp in programs]
+
+
+def _primal_reference(lp, x):
+    """Primal feasibility by ``Fraction`` row sums, the exact reference."""
+    if any(v < 0 for (_, sign), v in zip(lp.variables, x) if sign == NONNEG):
+        return False
+    for row, relation, rhs in lp.constraints:
+        lhs = sum((c * x[j] for j, c in row), ZERO)
+        if (relation == LE and lhs > rhs) or (relation == GE and lhs < rhs):
+            return False
+        if relation == EQ and lhs != rhs:
+            return False
+    return True
+
+
+def test_int_rows_round_trip_to_constraints():
+    for lp, _ in _checked_corpus():
+        assert len(lp.int_rows) == len(lp.constraints)
+        for (row, relation, rhs), (nums, irelation, inum, den) in zip(lp.constraints, lp.int_rows):
+            assert irelation == relation
+            assert [j for j, _ in nums] == [j for j, _ in row]
+            assert [rat(v, den) for _, v in nums] == [c for _, c in row]
+            assert rat(inum, den) == rhs
+            assert den == math.lcm(rhs.denominator, *[c.denominator for _, c in row])
+
+
+def test_doctored_answers_are_rejected():
+    # One exact change to an answer the solver returns must fail its check,
+    # however wide the denominators.
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for lp, sol in _checked_corpus():
+        if sol.status == UNBOUNDED:
+            continue
+        seen[sol.status] += 1
+        if sol.status == OPTIMAL:
+            x, y = list(sol.primal), list(sol.dual)
+            assert primal_feasible(lp, x) and dual_feasible(lp, y)
+            assert dual_objective(lp, y) == sol.value
+            # A nudged coordinate in an '=' row breaks it; any other nudge is
+            # judged as the rational row sums judge it.
+            den = math.lcm(*[v.denominator for v in x]) * 1009
+            in_eq = {j for row, relation, _ in lp.constraints if relation == EQ for j, _ in row}
+            for j in range(lp.n_vars):
+                nudged = x[:j] + [x[j] + Fraction(1, den)] + x[j + 1 :]
+                assert primal_feasible(lp, nudged) == _primal_reference(lp, nudged)
+                assert not (j in in_eq and primal_feasible(lp, nudged))
+            for i, (_, relation, rhs) in enumerate(lp.constraints):
+                if y[i] and relation != EQ:
+                    assert not dual_feasible(lp, y[:i] + [-y[i]] + y[i + 1 :])
+                if rhs:
+                    moved = y[:i] + [y[i] + Fraction(1, den)] + y[i + 1 :]
+                    assert dual_objective(lp, moved) == sol.value + rhs / den
+                    assert dual_objective(lp, moved) != sol.value
+        else:
+            u = list(sol.farkas)
+            assert farkas_valid(lp, u)
+            for i, (_, relation, _) in enumerate(lp.constraints):
+                if relation == EQ:
+                    continue
+                wrong = -u[i] if u[i] else Fraction(1 if relation == LE else -1, 1009)
+                assert not farkas_valid(lp, u[:i] + [wrong] + u[i + 1 :])
+    assert min(seen.values()) >= 1, seen
+
+
+def test_sign_rules_alone_reject_multipliers():
+    # Multipliers whose combined row meets the costs, so that only the sign
+    # rules can reject them.
+    rows = [({0: 1}, LE, 1), ({0: -1}, LE, 1), ({0: 1}, GE, -1), ({0: -1}, GE, -1)]
+    for sense in ("max", "min"):
+        lp = LinearProgram(sense, [("x", FREE)], {}, rows)
+        le = [ONE, ONE, ZERO, ZERO] if sense == "max" else [-ONE, -ONE, ZERO, ZERO]
+        ge = [ZERO, ZERO] + [-v for v in le[:2]]
+        for y in (le, ge):
+            assert dual_feasible(lp, y)
+            assert not dual_feasible(lp, [-v for v in y])
+    # x <= -1 and x >= 1 contradict; adding x <= 5 with a positive multiplier
+    # keeps the combined row zero and its rhs positive, but has the wrong sign.
+    rows = [({0: 1}, LE, -1), ({0: -1}, LE, -1), ({0: 1}, LE, 5)]
+    lp = LinearProgram("max", [("x", FREE)], {}, rows)
+    assert farkas_valid(lp, [-ONE, -ONE, ZERO])
+    assert not farkas_valid(lp, [-ONE, ZERO, ONE])

@@ -222,6 +222,30 @@ def test_audit_negative_control_md(salesman):
     assert flagged == ["md"]
 
 
+def test_zero_cap_reuses_the_md_bound(monkeypatch, capsys):
+    # A cap of 0 repeats MD's certificate, so its audit row repeats MD's row
+    # without another grid minimum.
+    calls = []
+    grid_concavify = oracle.grid_concavify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return grid_concavify(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "grid_concavify", counting)
+    path = str(GAMES / "three_actions.json")
+    counts, rows = [], {}
+    for extra in ([], ["--budget", "0"]):
+        calls.clear()
+        assert main(["verify", path, *extra]) == 0
+        counts.append(len(calls))
+        for line in capsys.readouterr().out.splitlines():
+            label, *fields = line.split()
+            rows[label] = fields
+    assert counts[1] == counts[0]
+    assert rows["mdmb[C=0]"] == rows["md"]
+
+
 @pytest.mark.parametrize("name", ["abstract_pieces", "influencer", "salesman", "three_actions"])
 def test_audit_solves_no_lp(monkeypatch, name):
     # Every exact value comes from the report: with each binding of ``solve``
