@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .core import Belief, GameValidationError, PersuasionGame, restrict_to_support, validate_game
 from .geometry import (
+    GenericityBoundExceeded,
     PiecewiseValueStructure,
     Polytope,
     ValuePiece,
@@ -110,8 +111,11 @@ def load_game_file(path: str) -> GameSpecFile:
             f"{path}: provide exactly one of (actions, u, v) or direct_pieces"
         )
 
+    expected_raw = data.get("expected", {})
+    if not isinstance(expected_raw, dict):
+        raise GameFileError(f"{path}: field 'expected' must be an object")
     expected = {}
-    for key, value in data.get("expected", {}).items():
+    for key, value in expected_raw.items():
         expected[str(key)] = _rat_field(value, f"{path}: expected[{key}]")
 
     prior = Belief(prior_vals)  # simplex violations surface as validation errors
@@ -134,8 +138,11 @@ def load_game_file(path: str) -> GameSpecFile:
         where = f"{path}: direct_pieces[{i}]"
         if not isinstance(piece, dict):
             raise GameFileError(f"{where} must be an object")
+        inequalities = piece.get("inequalities", [])
+        if not isinstance(inequalities, list):
+            raise GameFileError(f"{where}: field 'inequalities' must be a list")
         rows = []
-        for j, ineq in enumerate(piece.get("inequalities", [])):
+        for j, ineq in enumerate(inequalities):
             if not (isinstance(ineq, list) and len(ineq) == 3):
                 raise GameFileError(f"{where}: inequality {j} must be [coeffs, rel, rhs]")
             coeffs, rel, rhs = ineq
@@ -311,8 +318,12 @@ def cmd_verify(args) -> int:
         violations.append("saddle certificate")
 
     if spec.game is not None:
-        report_g = is_generic(spec.game)
-        print(f"genericity: {'true' if report_g.generic else 'false'}")
+        try:
+            generic = is_generic(spec.game).generic
+        except GenericityBoundExceeded as exc:
+            print(f"genericity: skipped ({exc})")
+        else:
+            print(f"genericity: {'true' if generic else 'false'}")
     else:
         print("genericity: n/a (direct pieces)")
 

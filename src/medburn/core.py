@@ -78,25 +78,22 @@ class Belief:
 
 @dataclass(frozen=True)
 class SubjectivePrior:
-    """A reweighting of types: a simplex point, or any affine combination.
+    """A reweighting of types: an affine combination, weights summing to one.
 
-    The ``affine`` domain allows negative weights; only the sum-to-one
-    normalization is kept.  Mediation without burning minimizes over affine
-    reweightings, the money-burning protocol over simplex ones.
+    Mediation without burning minimizes over affine reweightings (negative
+    weights allowed), the money-burning protocol over simplex ones; the
+    weights alone say which, through ``in_simplex``.
     """
 
     weights: tuple[Rational, ...]
-    domain: str = "simplex"
 
-    def __init__(self, weights: Iterable[RationalLike], domain: str = "simplex"):
+    def __init__(self, weights: Iterable[RationalLike]):
         object.__setattr__(self, "weights", _rat_tuple(weights))
-        object.__setattr__(self, "domain", domain)
-        if domain not in ("simplex", "affine"):
-            raise ValueError(f"unknown prior domain {domain!r}")
         if sum(self.weights, ZERO) != ONE:
             raise ValueError("subjective prior weights must sum to 1")
-        if domain == "simplex" and any(w < 0 for w in self.weights):
-            raise ValueError("simplex-domain subjective prior must be nonnegative")
+
+    def in_simplex(self) -> bool:
+        return all(w >= 0 for w in self.weights)
 
     def __len__(self) -> int:
         return len(self.weights)

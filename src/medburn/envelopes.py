@@ -68,7 +68,7 @@ def evaluate_subjective(
     w = subjective_weight(lam, structure.prior, mu)
     lo, hi = structure.interval_at(mu)
     if budget is None:
-        if lam.domain != "simplex":
+        if not lam.in_simplex():
             raise ValueError("unlimited budget requires a simplex reweighting")
         return w * hi
     return max(w * hi, w * (lo - budget))
@@ -175,7 +175,7 @@ def concavify_weighted(
     budget adds each piece's ``min`` branch.
     """
     if budget is None:
-        if lam.domain != "simplex":
+        if not lam.in_simplex():
             raise ValueError("unlimited budget requires a simplex reweighting")
     else:
         budget = rat(budget)
@@ -297,7 +297,7 @@ def worst_prior_envelope(
         raise CertificateError("payoff-row multipliers must sum to 1")
     if budget is None and any(w < 0 for w in lam_weights):
         raise CertificateError("simplex multipliers must be nonnegative")
-    lam = SubjectivePrior(lam_weights, domain="simplex" if budget is None else "affine")
+    lam = SubjectivePrior(lam_weights)
     atoms = _extract_atoms(structure, blocks, sol.primal)
     envelope = EnvelopeResult(sol.value, atoms)
     _check_result(structure, lam, envelope)

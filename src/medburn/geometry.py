@@ -26,7 +26,12 @@ from .rational import ONE, ZERO, Rational, RationalLike, over_common_denominator
 
 @dataclass(frozen=True)
 class Polytope:
-    """H-representation over belief coordinates; simplex rows always included."""
+    """H-representation over belief coordinates, inside the simplex.
+
+    ``rows`` holds only the rows that cut the region out of the simplex; the
+    simplex itself (mu >= 0, sum mu = 1) is implied, and every belief a
+    caller tests already lies on it.
+    """
 
     dim: int
     rows: tuple[tuple[tuple[Rational, ...], str, Rational], ...]
@@ -36,10 +41,6 @@ class Polytope:
         dim: int, extra: Iterable[tuple[Sequence[RationalLike], str, RationalLike]] = ()
     ) -> "Polytope":
         rows: list[tuple[tuple[Rational, ...], str, Rational]] = []
-        for t in range(dim):
-            coeffs = tuple(ONE if i == t else ZERO for i in range(dim))
-            rows.append((coeffs, GE, ZERO))
-        rows.append((tuple(ONE for _ in range(dim)), EQ, ONE))
         for coeffs, relation, rhs in extra:
             packed = tuple(rat(c) for c in coeffs)
             if len(packed) != dim:
@@ -71,9 +72,8 @@ class Polytope:
         Scaling a belief by a nonnegative mass keeps these rows valid, so they
         cut out the cone over the polytope.  The cone's variables are
         nonnegative, so rows that z >= 0 already implies are left out: a
-        ``>=`` row with no negative coefficient (every simplex row mu_t >= 0
-        is one), a ``<=`` row with no positive coefficient, and the all-zero
-        row the sum constraint becomes.  Every other ``=`` row is kept.
+        ``>=`` row with no negative coefficient, a ``<=`` row with no positive
+        coefficient, and an ``=`` row that homogenizes to all zeros.
         """
         out = []
         for coeffs, relation, rhs in self.rows:
@@ -92,13 +92,10 @@ class Polytope:
 
     def is_empty(self) -> bool:
         n = self.dim
-        lp = LinearProgram(
-            "max",
-            [(f"m{t}", NONNEG) for t in range(n)],
-            {},
-            [({t: c for t, c in enumerate(coeffs) if c != 0}, relation, rhs)
-             for coeffs, relation, rhs in self.rows],
-        )
+        rows = [({t: ONE for t in range(n)}, EQ, ONE)]
+        rows += [({t: c for t, c in enumerate(coeffs) if c != 0}, relation, rhs)
+                 for coeffs, relation, rhs in self.rows]
+        lp = LinearProgram("max", [(f"m{t}", NONNEG) for t in range(n)], {}, rows)
         return solve(lp).status != OPTIMAL
 
 
@@ -210,6 +207,14 @@ def compile_pieces(game: PersuasionGame) -> PiecewiseValueStructure:
     return PiecewiseValueStructure(tuple(pieces), game.prior)
 
 
+MAX_GENERIC_TYPES = 10
+
+
+class GenericityBoundExceeded(ValueError):
+    """``is_generic`` refuses a game with more than ``MAX_GENERIC_TYPES`` types:
+    it may solve two LPs per (support face, action), and there are 2^|T| - 1 faces."""
+
+
 @dataclass(frozen=True)
 class GenericityReport:
     generic: bool
@@ -225,8 +230,12 @@ def is_generic(game: PersuasionGame) -> GenericityReport:
     somewhere strictly inside the face, a second maximizes its minimum strict
     win margin there.  A positive margin yields a witness belief; a
     nonpositive one on a face where the action is optimal fails the check.
+    Games with more than ``MAX_GENERIC_TYPES`` types raise
+    ``GenericityBoundExceeded`` before any LP runs.
     """
     n = game.n_types
+    if n > MAX_GENERIC_TYPES:
+        raise GenericityBoundExceeded(f"{n} types exceeds the bound of {MAX_GENERIC_TYPES}")
     witnesses = []
     for support in _nonempty_subsets(n):
         for a in range(game.n_actions):

@@ -47,8 +47,8 @@ from .rational import (
 )
 from .solvers import ProtocolReport, protocol_report_structure
 
-DEFAULT_SEED = 177013
-DEFAULT_RESTARTS = 800
+_SEED = 177013  # seeds the random triples of every three-type candidate set
+_RESTARTS = 800  # random triples drawn per candidate set
 _POOL_CAP = 64
 
 
@@ -93,20 +93,19 @@ def snapped_resolution(structure: PiecewiseValueStructure, target: int) -> int:
     return base * -(-target // base)
 
 
+def _compositions(dim: int, n: int) -> list[tuple[int, ...]]:
+    """Every ``dim``-tuple of nonnegative integers summing to ``n``, in
+    lexicographic order: the simplex grid of step ``1/n`` in numerators."""
+    if dim > 3:
+        raise TooManyTypes(f"grids support at most 3 types, got {dim}")
+    if dim == 1:
+        return [(n,)]
+    return [(k,) + rest for k in range(n + 1) for rest in _compositions(dim - 1, n - k)]
+
+
 @lru_cache(maxsize=32)
 def grid_beliefs(dim: int, resolution: int) -> tuple[Belief, ...]:
-    n = resolution
-    if dim == 1:
-        return (Belief([ONE]),)
-    if dim == 2:
-        return tuple(Belief([rat(k, n), rat(n - k, n)]) for k in range(n + 1))
-    if dim == 3:
-        out = []
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                out.append(Belief([rat(i, n), rat(j, n), rat(n - i - j, n)]))
-        return tuple(out)
-    raise TooManyTypes(f"grids support at most 3 types, got {dim}")
+    return tuple([Belief([rat(k, resolution) for k in c]) for c in _compositions(dim, resolution)])
 
 
 class _GridTable(NamedTuple):
@@ -114,7 +113,7 @@ class _GridTable(NamedTuple):
 
     Point ``i`` has weight ``coords[i][t] / scale`` on type ``t``, achievable
     values between ``lo[i] / vden`` and ``hi[i] / vden``, and lies in
-    ``cover[i]`` pieces.
+    ``cover[i]`` pieces.  The first ``n_grid`` points are the grid.
     """
 
     coords: tuple[tuple[int, ...], ...]
@@ -124,6 +123,7 @@ class _GridTable(NamedTuple):
     vden: int
     cover: tuple[int, ...]
     prior_idx: int
+    n_grid: int
 
 
 @lru_cache(maxsize=64)
@@ -133,21 +133,21 @@ def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTab
     The prior itself is appended when off-grid, so index ``prior_idx`` always
     exists.
     """
-    points = list(grid_beliefs(structure.dim, resolution))
     scale = lcm(resolution, lcm_of_denominators(structure.prior.weights))
-    coords = [tuple(numerator_over(w, scale) for w in mu.weights) for mu in points]
+    step = scale // resolution
+    coords = [tuple([v * step for v in c]) for c in _compositions(structure.dim, resolution)]
+    n_grid = len(coords)
     prior = tuple(numerator_over(w, scale) for w in structure.prior.weights)
     index = {k: i for i, k in enumerate(coords)}
     if prior not in index:
-        index[prior] = len(points)
-        points.append(structure.prior)
+        index[prior] = n_grid
         coords.append(prior)
     pieces = structure.pieces
     lo, hi, cover = [], [], []
-    for mu, k in zip(points, coords):
+    for k in coords:
         covering = structure.pieces_at_scaled(k, scale)
         if not covering:
-            raise ValueError(f"no piece covers belief {mu}")
+            raise ValueError(f"no piece covers belief {Belief([rat(v, scale) for v in k])}")
         lo.append(min(pieces[i].vmin for i in covering))
         hi.append(max(pieces[i].vmax for i in covering))
         cover.append(len(covering))
@@ -160,6 +160,7 @@ def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTab
         vden,
         tuple(cover),
         index[prior],
+        n_grid,
     )
 
 
@@ -210,7 +211,7 @@ def lipschitz_slack(
 
 
 @lru_cache(maxsize=64)
-def _candidates(structure: PiecewiseValueStructure, resolution: int, seed: int, restarts: int):
+def _candidates(structure: PiecewiseValueStructure, resolution: int):
     """Index combinations with integer barycentric weights that exactly
     rebuild the prior (3 types).
 
@@ -248,15 +249,15 @@ def _candidates(structure: PiecewiseValueStructure, resolution: int, seed: int, 
                     out.append(((i, other), (j, g), g + j))
                 j += 1
 
-    pool = _boundary_pool(structure, resolution, table, index)
+    pool = _boundary_pool(structure.dim, table, index)
     for combo in combinations(pool, 3):
         w = _barycentric(prior, *(coords[i] for i in combo))
         if w is not None:
             out.append((combo, *w))
 
-    rng = Random(seed)
+    rng = Random(_SEED)
     all_idx = list(range(len(coords)))
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         combo = tuple(rng.sample(all_idx, 3))
         w = _barycentric(prior, *(coords[i] for i in combo))
         if w is not None:
@@ -264,13 +265,12 @@ def _candidates(structure: PiecewiseValueStructure, resolution: int, seed: int, 
     return tuple(out)
 
 
-def _boundary_pool(structure, resolution, table: _GridTable, index) -> list[int]:
-    n_grid = len(grid_beliefs(structure.dim, resolution))
-    pool = [i for i in range(n_grid) if table.cover[i] >= 2]
+def _boundary_pool(dim: int, table: _GridTable, index) -> list[int]:
+    pool = [i for i in range(table.n_grid) if table.cover[i] >= 2]
     if len(pool) > _POOL_CAP:
         step = len(pool) / _POOL_CAP
         pool = [pool[int(i * step)] for i in range(_POOL_CAP)]
-    dim, scale = structure.dim, table.scale
+    scale = table.scale
     extras = [index[tuple(scale if j == t else 0 for j in range(dim))] for t in range(dim)]
     extras.append(table.prior_idx)
     for i in extras:
@@ -305,8 +305,6 @@ def grid_concavify(
     lam: SubjectivePrior,
     budget: Rational | None,
     grid: GridSpec,
-    seed: int = DEFAULT_SEED,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> Rational:
     """Best split of the prior into grid atoms; a lower bound on the envelope.
 
@@ -316,7 +314,7 @@ def grid_concavify(
     dim = structure.dim
     if dim > 3:
         raise TooManyTypes("concavification oracle supports at most 3 types")
-    if budget is None and lam.domain != "simplex":
+    if budget is None and not lam.in_simplex():
         raise ValueError("unlimited-budget oracle needs a simplex reweighting")
     table = _grid_table(structure, grid.resolution)
     vals, den = _pointwise_values(structure, lam, budget, table)
@@ -327,7 +325,7 @@ def grid_concavify(
         if num > best * hull_den:
             best, best_den = num, hull_den
     elif dim == 3:
-        for combo, weights, delta in _candidates(structure, grid.resolution, seed, restarts):
+        for combo, weights, delta in _candidates(structure, grid.resolution):
             v = sum(map(mul, weights, map(vals.__getitem__, combo)))
             if v * best_den > best * delta:
                 best, best_den = v, delta
@@ -367,8 +365,6 @@ def grid_min_lambda(
     lambdas: Iterable[SubjectivePrior],
     budget: Rational | None,
     grid: GridSpec,
-    seed: int = DEFAULT_SEED,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> tuple[Rational, SubjectivePrior]:
     """Minimum of the grid concavification over a supplied reweighting grid.
 
@@ -378,7 +374,7 @@ def grid_min_lambda(
     best = None
     arg = None
     for lam in lambdas:
-        v = grid_concavify(structure, lam, budget, grid, seed, restarts)
+        v = grid_concavify(structure, lam, budget, grid)
         if best is None or v < best:
             best, arg = v, lam
     if best is None:
@@ -403,23 +399,7 @@ def grid_qcav_binary(structure: PiecewiseValueStructure, grid: GridSpec) -> Rati
 
 
 def simplex_lambda_grid(dim: int, steps: int) -> list[SubjectivePrior]:
-    if dim == 1:
-        return [SubjectivePrior([ONE])]
-    if dim == 2:
-        return [
-            SubjectivePrior([rat(k, steps), rat(steps - k, steps)]) for k in range(steps + 1)
-        ]
-    if dim == 3:
-        out = []
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                out.append(
-                    SubjectivePrior(
-                        [rat(i, steps), rat(j, steps), rat(steps - i - j, steps)]
-                    )
-                )
-        return out
-    raise TooManyTypes("reweighting grids support at most 3 types")
+    return [SubjectivePrior([rat(k, steps) for k in c]) for c in _compositions(dim, steps)]
 
 
 def affine_lambda_grid_binary(
@@ -430,7 +410,7 @@ def affine_lambda_grid_binary(
     out = []
     for k in range(steps + 1):
         first = lo + k * step
-        out.append(SubjectivePrior([first, ONE - first], domain="affine"))
+        out.append(SubjectivePrior([first, ONE - first]))
     return out
 
 
@@ -466,9 +446,6 @@ def audit_structure(
     structure: PiecewiseValueStructure,
     report: ProtocolReport,
     grid: GridSpec | None = None,
-    lambda_steps: int | None = None,
-    seed: int = DEFAULT_SEED,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> AuditReport:
     """Bracket the exact values of ``report``, solved for ``structure``, by
     grid-oracle bounds.
@@ -482,14 +459,12 @@ def audit_structure(
         raise TooManyTypes("oracle audits support at most 3 types")
     if grid is None:
         grid = GridSpec(snapped_resolution(structure, 256) if dim <= 2 else 60)
-    if lambda_steps is None:
-        lambda_steps = 32 if dim <= 2 else 4
 
     cert = report.certificate
     prior_lam = SubjectivePrior.from_belief(structure.prior)
     rows = []
 
-    bp_lower = grid_concavify(structure, prior_lam, None, grid, seed, restarts)
+    bp_lower = grid_concavify(structure, prior_lam, None, grid)
     rows.append(
         _row("bp", report.bp, bp_lower, None, lipschitz_slack(structure, prior_lam, None, grid))
     )
@@ -500,15 +475,15 @@ def audit_structure(
             _row("ct", report.ct, ct_lower, None, lipschitz_slack(structure, prior_lam, None, grid))
         )
 
-    lam_grid = simplex_lambda_grid(dim, lambda_steps)
+    lam_grid = simplex_lambda_grid(dim, 32 if dim <= 2 else 4)
     lam_grid.append(cert.lambda_star)
-    upper, upper_arg = grid_min_lambda(structure, lam_grid, None, grid, seed, restarts)
+    upper, upper_arg = grid_min_lambda(structure, lam_grid, None, grid)
     slack = max(
         lipschitz_slack(structure, lam, None, grid) for lam in (upper_arg, cert.lambda_star)
     )
     if dim == 2:
         vertex_lower = min(
-            grid_concavify(structure, SubjectivePrior.degenerate(2, t), None, grid, seed, restarts)
+            grid_concavify(structure, SubjectivePrior.degenerate(2, t), None, grid)
             for t in range(2)
         )
         vslack = max(
@@ -528,7 +503,7 @@ def audit_structure(
         c_grid: list[SubjectivePrior] = [c_cert.lambda_star]
         if dim == 2:
             c_grid.extend(affine_lambda_grid_binary(-4, 2, 48))
-        c_upper, c_arg = grid_min_lambda(structure, c_grid, cap, grid, seed, restarts)
+        c_upper, c_arg = grid_min_lambda(structure, c_grid, cap, grid)
         c_slack = max(
             lipschitz_slack(structure, lam, cap, grid) for lam in (c_arg, c_cert.lambda_star)
         )
@@ -543,9 +518,6 @@ def audit_report(
     game: PersuasionGame,
     budgets: Sequence[RationalLike] = (),
     grid: GridSpec | None = None,
-    lambda_steps: int | None = None,
-    seed: int = DEFAULT_SEED,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> AuditReport:
     """Solve ``game``'s protocol report at ``budgets`` once, then audit it."""
     game = restrict_to_support(game)
@@ -553,4 +525,4 @@ def audit_report(
         raise TooManyTypes("oracle audits support at most 3 types")
     structure = compile_pieces(game)
     report = protocol_report_structure(structure, budgets)
-    return audit_structure(structure, report, grid, lambda_steps, seed, restarts)
+    return audit_structure(structure, report, grid)

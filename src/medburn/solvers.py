@@ -242,7 +242,7 @@ def verify_saddle_structure(
 ) -> SaddleDiagnostics:
     labels = type_labels or [str(t) for t in range(structure.dim)]
     cap = None if budget is None else rat(budget)
-    if cap is None and cert.lambda_star.domain != "simplex":
+    if cap is None and not cert.lambda_star.in_simplex():
         return SaddleDiagnostics(
             False, "unlimited-budget certificate needs a simplex reweighting"
         )

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from medburn.cli import main
+from medburn import geometry
+from medburn.cli import load_game_file, main
 from medburn.rational import rat
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
@@ -79,6 +80,17 @@ def test_values_parse_error(tmp_path, capsys):
     missing.write_text(json.dumps({"types": ["a"], "prior": [1]}))
     code, _, err = run(capsys, "values", missing)
     assert code == 2
+
+    # ill-typed blocks are parse errors too, not tracebacks
+    game = json.loads((GAMES / "salesman.json").read_text())
+    pieces = json.loads((GAMES / "abstract_pieces.json").read_text())
+    pieces["direct_pieces"][0]["inequalities"] = 3
+    for name, data in (("expected.json", {**game, "expected": ["ct", 0]}), ("ineq.json", pieces)):
+        bad = tmp_path / name
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "values", bad)
+        assert code == 2
+        assert err.startswith("parse error: ")
 
 
 def test_mechanism_salesman(capsys):
@@ -178,6 +190,30 @@ def test_verify_reports_relation_three_actions(capsys):
     assert code == 0
     assert "expected: ct = 1/4 ok" in out
     assert "expected: bp = 3/10 ok" in out
+
+
+def test_genericity_refuses_past_its_bound(tmp_path, capsys, monkeypatch):
+    # eleven types: 2^11 - 1 support faces, past MAX_GENERIC_TYPES
+    n = 11
+    data = {
+        "types": [f"t{i}" for i in range(n)],
+        "actions": ["act", "wait"],
+        "u": [[(-1) ** i for i in range(n)], [0] * n],
+        "v": [1, 0],
+        "prior": [f"1/{n}"] * n,
+    }
+    path = tmp_path / "eleven.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0, out
+    assert "genericity: skipped (11 types exceeds the bound of 10)\n" in out
+
+    def refuse(lp):
+        raise AssertionError("is_generic solved an LP past its bound")
+
+    monkeypatch.setattr(geometry, "solve", refuse)
+    with pytest.raises(geometry.GenericityBoundExceeded, match="11 types exceeds the bound of 10"):
+        geometry.is_generic(load_game_file(str(path)).game)
 
 
 def test_verify_abstract_pieces(capsys):

@@ -86,9 +86,9 @@ def test_belief_helpers():
 
 
 def test_subjective_prior_domains():
-    SubjectivePrior(["-1", "2"], domain="affine")
-    with pytest.raises(ValueError):
-        SubjectivePrior(["-1", "2"])  # simplex rejects negatives
+    assert not SubjectivePrior(["-1", "2"]).in_simplex()  # affine, off the simplex
+    assert SubjectivePrior(["0", "1"]).in_simplex()
+    assert SubjectivePrior(["1/3", "1/3", "1/3"]).in_simplex()
     with pytest.raises(ValueError):
         SubjectivePrior(["1/2", "1/3"])  # must sum to one
 

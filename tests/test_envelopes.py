@@ -62,7 +62,7 @@ def test_quasiconcavify(salesman, three_actions, single_action):
 def test_evaluate_subjective_budget_table(salesman):
     # the two-branch pointwise value at the tie belief
     s = compile_pieces(salesman)
-    lam = SubjectivePrior([-1, 2], domain="affine")
+    lam = SubjectivePrior([-1, 2])
     mu = Belief(["1/2", "1/2"])
     w = subjective_weight(lam, s.prior, mu)
     assert w == rat(-2, 3)
@@ -102,7 +102,7 @@ def test_cav_dominates_pointwise(salesman, three_actions):
         s = compile_pieces(game)
         for lam in (SubjectivePrior([1, 0]), SubjectivePrior(["1/2", "1/2"])):
             assert cav(s, lam).value >= evaluate_subjective(s, lam, None, s.prior)
-        lam = SubjectivePrior(["-1/2", "3/2"], domain="affine")
+        lam = SubjectivePrior(["-1/2", "3/2"])
         assert (
             cav(s, lam, rat(1)).value
             >= evaluate_subjective(s, lam, rat(1), s.prior)
@@ -118,7 +118,7 @@ def test_worst_prior_requires_full_support(salesman):
 def test_query_validation(salesman):
     s = compile_pieces(salesman)
     with pytest.raises(ValueError):
-        cav(s, SubjectivePrior([-1, 2], domain="affine"))
+        cav(s, SubjectivePrior([-1, 2]))
     with pytest.raises(ValueError):
         cav(s, SubjectivePrior([1, 0]), rat(-1))
     with pytest.raises(ValueError):

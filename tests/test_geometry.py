@@ -168,7 +168,8 @@ def _holds(coeffs, relation, mu):
 
 @pytest.mark.parametrize("fixture", ["salesman", "influencer"])
 def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
-    structure = compile_pieces(request.getfixturevalue(fixture))
+    game = request.getfixturevalue(fixture)
+    structure = compile_pieces(game)
     n = structure.dim
     for piece in structure.pieces:
         region = piece.region
@@ -178,8 +179,8 @@ def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
         kept = region.cone_rows
         assert not any(_implied_by_signs(*row) for row in kept)
         assert kept == tuple(row for row in homogenized if not _implied_by_signs(*row))
-        # the n simplex rows mu_t >= 0 and the sum row are among the dropped ones
-        assert len(homogenized) - len(kept) >= n + 1
+        # a compiled region stores exactly its |A| - 1 best-response rows
+        assert len(region.rows) == game.n_actions - 1
         # the cone still cuts the region out of the simplex
         for mu in grid_beliefs(n, 24):
             inside = all(_holds(coeffs, relation, mu) for coeffs, relation in kept)
@@ -217,7 +218,7 @@ def test_integer_containment_matches_fraction_reference(influencer):
         assert structure.pieces_at_scaled(point, scale) == expected
         for i, region in enumerate(regions):
             assert region.contains(mu) == (i in expected)
-            for coeffs, relation, rhs in region.rows[4:]:  # past the simplex rows
+            for coeffs, relation, rhs in region.rows:
                 tight[relation] += i in expected and _holds(
                     [c - rhs for c in coeffs], EQ, mu
                 )

@@ -133,7 +133,7 @@ def test_hull_matches_literal_pair_search(three_actions):
     simplex = (SubjectivePrior([0, 1]), SubjectivePrior(["1/2", "1/2"]))
     # with the affine weight -2 the reweighted share w is negative wherever
     # mu_H > 3/11, so max(w * hi, w * (lo - b)) can take its second branch
-    affine = SubjectivePrior([-2, 3], domain="affine")
+    affine = SubjectivePrior([-2, 3])
     cases = [(lam, b) for lam in simplex for b in (None, rat(0), rat(2))]
     cases += [(affine, rat(0)), (affine, rat(2))]
     for lam, budget in cases:
