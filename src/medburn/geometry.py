@@ -149,7 +149,7 @@ class PiecewiseValueStructure:
     def with_prior(self, prior: Belief) -> "PiecewiseValueStructure":
         if len(prior) != self.dim:
             raise ValueError("prior dimension mismatch")
-        return PiecewiseValueStructure(self.pieces, prior)
+        return _covering_prior(self.pieces, prior)
 
 
 def direct_structure(
@@ -163,7 +163,18 @@ def direct_structure(
             raise ValueError("piece dimension does not match prior")
         if p.region.is_empty():
             raise ValueError(f"piece {p.label!r} has an empty region")
-    return PiecewiseValueStructure(packed, prior)
+    return _covering_prior(packed, prior)
+
+
+def _covering_prior(pieces: tuple[ValuePiece, ...], prior: Belief) -> PiecewiseValueStructure:
+    """The structure, once some piece is known to hold the prior.
+
+    Only the prior is checked: a gap elsewhere in the simplex goes unnoticed.
+    """
+    structure = PiecewiseValueStructure(pieces, prior)
+    if not structure.pieces_at(prior):
+        raise ValueError(f"no piece covers the prior {prior}")
+    return structure
 
 
 def best_responses(game: PersuasionGame, mu: Belief) -> tuple[int, ...]:

@@ -11,7 +11,14 @@ values from the other side.  Gap allowances come from the pieces' affine
 slopes.
 
 Candidate decompositions depend only on the structure and the grid, never on
-the reweighting, so they are built once and reused across reweightings.
+the reweighting, so they are built once and reused across reweightings.  Pool
+triples take their weights from one table of cross products of the pool
+points about the prior.  Without a budget a split's reweighted value is
+``c . A / delta``, linear in the nonnegative ``c_t = lam_t / p_t``, so a split
+whose ``A / delta`` is componentwise at most another's never wins: the
+candidates keep their Pareto front of ``(A, delta)`` beside the full list, and
+simplex reweightings of three types are scored on the front alone (budgeted
+values are not linear in ``c``, so budgeted calls score every candidate).
 
 The arithmetic is exact and runs on Python integers.  Grid points (and the
 prior) carry integer coordinates over one common denominator, value bounds
@@ -177,8 +184,7 @@ def _pointwise_values(
     ``lam_t / p_t = c_t / C`` makes ``C * scale * w = sum_t c_t * k_t`` an
     integer for integer coordinates ``k``; ``w`` may be negative.
     """
-    ratios = [lam[t] / structure.prior[t] for t in range(structure.dim)]
-    c, c_den = over_common_denominator(ratios)
+    c, c_den = _reweighting(structure, lam)
     ws = [sum(map(mul, c, k)) for k in table.coords]
     den = c_den * table.scale * table.vden
     if budget is None:
@@ -191,6 +197,13 @@ def _pointwise_values(
         for w, lo, h in zip(ws, table.lo, table.hi)
     ]
     return vals, den * b_den
+
+
+def _reweighting(
+    structure: PiecewiseValueStructure, lam: SubjectivePrior
+) -> tuple[list[int], int]:
+    """``lam_t / p_t`` as integers ``c_t`` over one denominator ``C``."""
+    return over_common_denominator([lam[t] / structure.prior[t] for t in range(structure.dim)])
 
 
 def lipschitz_slack(
@@ -210,14 +223,26 @@ def lipschitz_slack(
     return rat(2, grid.resolution) * span
 
 
-@lru_cache(maxsize=64)
-def _candidates(structure: PiecewiseValueStructure, resolution: int):
-    """Index combinations with integer barycentric weights that exactly
-    rebuild the prior (3 types).
+class _Candidates(NamedTuple):
+    """The three-type candidate splits of the prior and their Pareto front.
 
-    Each candidate is ``(combo, weights, delta)`` with nonnegative weights and
-    ``delta > 0``: ``sum_k weights[k] * point[combo[k]] == delta * prior``.
+    ``every`` holds each candidate as ``(combo, weights, delta)`` with
+    nonnegative integer weights and ``delta > 0``:
+    ``sum_k weights[k] * point[combo[k]] == delta * prior``.  ``front`` holds
+    the maximal ``(A0, A1, A2, delta)`` of those candidates, where
+    ``A_t = sum_k weights[k] * hi[combo[k]] * point[combo[k]][t]``; no two
+    front entries dominate each other, and every candidate's ``A / delta``
+    is componentwise at most some front entry's.
     """
+
+    every: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
+    front: tuple[tuple[int, int, int, int], ...]
+
+
+@lru_cache(maxsize=64)
+def _candidates(structure: PiecewiseValueStructure, resolution: int) -> _Candidates:
+    """Index combinations with integer barycentric weights that exactly
+    rebuild the prior (3 types), with their front under the table's ``hi``."""
     table = _grid_table(structure, resolution)
     coords, prior_idx = table.coords, table.prior_idx
     prior = coords[prior_idx]
@@ -225,7 +250,8 @@ def _candidates(structure: PiecewiseValueStructure, resolution: int):
     out: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
 
     # Exhaustive collinear pairs, walking the exact ray from each grid point
-    # through the prior; needs the prior itself on the grid.
+    # through the prior; needs the prior itself on the grid, so every step
+    # that stays nonnegative lands on a grid point.
     step = table.scale // resolution
     if all(v % step == 0 for v in prior):
         for i, k in enumerate(coords):
@@ -235,25 +261,15 @@ def _candidates(structure: PiecewiseValueStructure, resolution: int):
             g = 0
             for v in d:
                 g = gcd(g, v // step)
-            if g == 0:
-                continue
             d = [v // g for v in d]
-            j = 1
-            while True:
-                b = tuple(prior[t] + j * d[t] for t in range(3))
-                if any(v < 0 for v in b):
-                    break
-                other = index.get(b)
-                if other is not None:
-                    # prior = (j * point_i + g * point_other) / (g + j)
-                    out.append(((i, other), (j, g), g + j))
-                j += 1
+            # d sums to zero and is nonzero, so some entry is negative
+            j_max = min(prior[t] // -d[t] for t in range(3) if d[t] < 0)
+            for j in range(1, j_max + 1):
+                other = index[(prior[0] + j * d[0], prior[1] + j * d[1], prior[2] + j * d[2])]
+                # prior = (j * point_i + g * point_other) / (g + j)
+                out.append(((i, other), (j, g), g + j))
 
-    pool = _boundary_pool(structure.dim, table, index)
-    for combo in combinations(pool, 3):
-        w = _barycentric(prior, *(coords[i] for i in combo))
-        if w is not None:
-            out.append((combo, *w))
+    out += _pool_triples(coords, prior, _boundary_pool(structure.dim, table, index))
 
     rng = Random(_SEED)
     all_idx = list(range(len(coords)))
@@ -262,7 +278,61 @@ def _candidates(structure: PiecewiseValueStructure, resolution: int):
         w = _barycentric(prior, *(coords[i] for i in combo))
         if w is not None:
             out.append((combo, *w))
-    return tuple(out)
+    front = _front(out, table)
+    return _Candidates(tuple(out), front)
+
+
+def _pool_triples(
+    coords: Sequence[tuple[int, ...]], prior: tuple[int, ...], pool: list[int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every pool triple whose triangle holds the prior, with its weights.
+
+    The weights come from one table of cross products about the prior: in
+    triangle (a, b, c) the prior has weights (cross[b][c], cross[c][a],
+    cross[a][b]), the integers Cramer's rule gives.
+    """
+    rel = [(coords[i][0] - prior[0], coords[i][1] - prior[1]) for i in pool]
+    cross = [[ux * vy - uy * vx for vx, vy in rel] for ux, uy in rel]
+    out = []
+    for a, b, c in combinations(range(len(pool)), 3):
+        n_a, n_b, n_c = cross[b][c], cross[c][a], cross[a][b]
+        delta = n_a + n_b + n_c
+        if delta < 0:
+            delta, n_a, n_b, n_c = -delta, -n_a, -n_b, -n_c
+        if delta and n_a >= 0 and n_b >= 0 and n_c >= 0:
+            out.append(((pool[a], pool[b], pool[c]), (n_a, n_b, n_c), delta))
+    return out
+
+
+def _front(
+    candidates: Iterable[tuple[tuple[int, ...], tuple[int, ...], int]], table: _GridTable
+) -> tuple[tuple[int, int, int, int], ...]:
+    """The maximal ``(A0, A1, A2, delta)`` of three-type candidates, kept by a
+    streaming filter that compares ``A / delta`` by cross-multiplication.
+
+    Without a budget a candidate's reweighted value is ``c . A / delta`` with
+    ``c >= 0``, so a dominated candidate never beats the entry dominating it.
+    """
+    coords, hi = table.coords, table.hi
+    front: list[tuple[int, int, int, int]] = []
+    for combo, weights, d in candidates:
+        a0 = a1 = a2 = 0
+        for i, w in zip(combo, weights):
+            h = w * hi[i]
+            k0, k1, k2 = coords[i]
+            a0 += h * k0
+            a1 += h * k1
+            a2 += h * k2
+        for b0, b1, b2, e in front:
+            if a0 * e <= b0 * d and a1 * e <= b1 * d and a2 * e <= b2 * d:
+                break  # dominated, or equal to a kept entry
+        else:
+            front = [
+                f for f in front
+                if not (f[0] * d <= a0 * f[3] and f[1] * d <= a1 * f[3] and f[2] * d <= a2 * f[3])
+            ]
+            front.append((a0, a1, a2, d))
+    return tuple(front)
 
 
 def _boundary_pool(dim: int, table: _GridTable, index) -> list[int]:
@@ -317,6 +387,16 @@ def grid_concavify(
     if budget is None and not lam.in_simplex():
         raise ValueError("unlimited-budget oracle needs a simplex reweighting")
     table = _grid_table(structure, grid.resolution)
+    if dim == 3 and budget is None:
+        # values are c . A / delta with c >= 0, so the front holds the best split
+        c, c_den = _reweighting(structure, lam)
+        p = table.prior_idx
+        best, best_den = sum(map(mul, c, table.coords[p])) * table.hi[p], 1
+        for *a, delta in _candidates(structure, grid.resolution).front:
+            v = sum(map(mul, c, a))
+            if v * best_den > best * delta:
+                best, best_den = v, delta
+        return rat(best, best_den * c_den * table.scale * table.vden)
     vals, den = _pointwise_values(structure, lam, budget, table)
     # the best value so far is best / (best_den * den)
     best, best_den = vals[table.prior_idx], 1
@@ -325,7 +405,7 @@ def grid_concavify(
         if num > best * hull_den:
             best, best_den = num, hull_den
     elif dim == 3:
-        for combo, weights, delta in _candidates(structure, grid.resolution):
+        for combo, weights, delta in _candidates(structure, grid.resolution).every:
             v = sum(map(mul, weights, map(vals.__getitem__, combo)))
             if v * best_den > best * delta:
                 best, best_den = v, delta

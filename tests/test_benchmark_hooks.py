@@ -29,3 +29,15 @@ def test_benchmark_hook_names_resolve():
     for name in tracing.ORACLE_CACHES:
         cache = getattr(oracle, name, None)
         assert hasattr(cache, "cache_clear") and hasattr(cache, "cache_info"), name
+
+
+def test_benchmark_clears_every_oracle_cache():
+    # A verify op starts from empty oracle caches only if the benchmark clears
+    # them all; a cache it does not name would carry work from op to op.
+    tracing = _load_tracing()
+    oracle = importlib.import_module("medburn.oracle")
+    caches = {
+        name for name, obj in vars(oracle).items()
+        if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
+    }
+    assert caches == set(tracing.ORACLE_CACHES)

@@ -241,6 +241,31 @@ def test_sweep_direct_pieces_needs_interior_priors(capsys):
     assert "full-support" in err
 
 
+def _half_covered(tmp_path, prior):
+    """Direct pieces that cover only ``x_a >= 1/2``."""
+    f = tmp_path / "gap.json"
+    f.write_text(json.dumps({
+        "types": ["a", "b"],
+        "prior": prior,
+        "direct_pieces": [{"inequalities": [[[1, 0], ">=", "1/2"]], "vmin": 1, "vmax": 1}],
+    }))
+    return f
+
+
+@pytest.mark.parametrize("command", ["values", "verify"])
+def test_uncovered_prior_is_a_validation_error(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, _half_covered(tmp_path, ["1/4", "3/4"]))
+    assert (code, out) == (3, "")
+    assert err == "validation error: no piece covers the prior (1/4, 3/4)\n"
+
+
+def test_sweep_to_an_uncovered_prior_is_a_validation_error(tmp_path, capsys):
+    path = _half_covered(tmp_path, ["3/4", "1/4"])
+    code, out, err = run(capsys, "sweep", path, "--prior", "3/5,2/5", "--prior", "1/4,3/4")
+    assert (code, out) == (3, "")
+    assert err == "validation error: no piece covers the prior (1/4, 3/4)\n"
+
+
 def test_values_single_type_game(tmp_path, capsys):
     f = tmp_path / "solo.json"
     f.write_text(

@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
+from math import gcd
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import medburn.oracle as oracle
 from medburn import Belief, SubjectivePrior, rat
 from medburn.cli import EXIT_CERTIFICATE, load_game_file, main
-from medburn.geometry import compile_pieces
+from medburn.geometry import Polytope, ValuePiece, compile_pieces, direct_structure
 from medburn.lp import CertificateError
 from medburn.oracle import (
     GridSpec,
@@ -309,3 +311,133 @@ def test_audit_rows_are_pinned():
         texts.append(_audit_text(audit_report(game, [1, 2], grid=grid)))
     digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
     assert digest == PINNED_AUDIT_DIGEST
+
+
+def _negative_structure():
+    """Direct pieces whose values are all negative, so every front key is too."""
+    P = Polytope.on_simplex
+    pieces = [
+        ValuePiece(P(3, []), rat(-3), rat(-2), label="floor"),
+        ValuePiece(P(3, [((1, 0, 0), ">=", "1/2")]), rat(-1), rat("-1/3"), label="east"),
+        ValuePiece(P(3, [((0, 1, -1), ">=", "1/3")]), rat(-5), rat("-1/2"), label="north"),
+    ]
+    return direct_structure(pieces, Belief(["1/5", "2/5", "2/5"]))
+
+
+def _three_type_cases():
+    """(name, structure, resolution): the three-type fixtures and a negative
+    direct structure at the audit's grid, every three-type game of
+    ``game_corpus(200)`` at a coarser one."""
+    cases = [
+        (name, load_game_file(str(GAMES / f"{name}.json")).any_structure(), 60)
+        for name in ("influencer", "abstract_pieces")
+    ]
+    cases.append(("negative", _negative_structure(), 60))
+    cases += [
+        (f"corpus{i}", compile_pieces(g), 24)
+        for i, g in enumerate(game_corpus(200)) if g.n_types == 3
+    ]
+    return cases
+
+
+def _brute_force_concavify(structure, lam, resolution):
+    """Best of the prior atom and every candidate split, each scored by
+    summing pointwise values."""
+    table = oracle._grid_table(structure, resolution)
+    vals, den = oracle._pointwise_values(structure, lam, None, table)
+    best, best_den = vals[table.prior_idx], 1
+    for combo, weights, delta in oracle._candidates(structure, resolution).every:
+        v = sum(w * vals[i] for i, w in zip(combo, weights))
+        if v * best_den > best * delta:
+            best, best_den = v, delta
+    return rat(best, best_den * den)
+
+
+def _covers(f, g):
+    """Whether key ``g``'s ``A / delta`` is componentwise at most ``f``'s."""
+    return all(g[t] * f[3] <= f[t] * g[3] for t in range(3))
+
+
+def test_front_scores_like_every_candidate():
+    # Scoring a simplex reweighting on the front must give the maximum over
+    # every candidate; the front must cover each candidate and be an antichain.
+    rng = Random(8101)
+    randoms = []
+    for _ in range(20):
+        parts = [rng.randint(0, 9) for _ in range(3)]
+        parts[rng.randrange(3)] += 1
+        randoms.append(SubjectivePrior([rat(p, sum(parts)) for p in parts]))
+    sizes = {}
+    for name, s, n in _three_type_cases():
+        lams = simplex_lambda_grid(3, 4) + [SubjectivePrior.from_belief(s.prior)] + randoms
+        for lam in lams:
+            assert grid_concavify(s, lam, None, GridSpec(n)) == _brute_force_concavify(s, lam, n), (
+                name, lam)
+        table = oracle._grid_table(s, n)
+        candidates = oracle._candidates(s, n)
+        keys = [
+            tuple(sum(w * table.hi[i] * table.coords[i][t] for i, w in zip(combo, weights))
+                  for t in range(3)) + (delta,)
+            for combo, weights, delta in candidates.every
+        ]
+        front = candidates.front
+        assert set(front) <= set(keys), name
+        assert all(any(_covers(f, g) for f in front) for g in keys), name
+        assert not any(_covers(f, g) for f, g in permutations(front, 2)), name
+        sizes[name] = len(front)
+    assert sizes["influencer"] == 30 and sizes["abstract_pieces"] == 1
+    assert max(sizes.values()) > 30  # some corpus game keeps a large front
+
+
+def _reference_candidates(structure, resolution):
+    """The candidate list built the direct way: ``_barycentric`` on every pool
+    triple, and a walk along each ray through the prior until it leaves the
+    simplex."""
+    table = oracle._grid_table(structure, resolution)
+    coords, prior_idx = table.coords, table.prior_idx
+    prior = coords[prior_idx]
+    index = {k: i for i, k in enumerate(coords)}
+    out = []
+    step = table.scale // resolution
+    if all(v % step == 0 for v in prior):
+        for i, k in enumerate(coords):
+            if i == prior_idx:
+                continue
+            d = [prior[t] - k[t] for t in range(3)]
+            g = 0
+            for v in d:
+                g = gcd(g, v // step)
+            d = [v // g for v in d]
+            j = 1
+            while True:
+                b = tuple(prior[t] + j * d[t] for t in range(3))
+                if any(v < 0 for v in b):
+                    break
+                if b in index:
+                    out.append(((i, index[b]), (j, g), g + j))
+                j += 1
+    for combo in combinations(oracle._boundary_pool(3, table, index), 3):
+        w = oracle._barycentric(prior, *(coords[i] for i in combo))
+        if w is not None:
+            out.append((combo, *w))
+    rng = Random(oracle._SEED)
+    all_idx = list(range(len(coords)))
+    for _ in range(oracle._RESTARTS):
+        combo = tuple(rng.sample(all_idx, 3))
+        w = oracle._barycentric(prior, *(coords[i] for i in combo))
+        if w is not None:
+            out.append((combo, *w))
+    return tuple(out)
+
+
+def test_candidate_list_is_pinned():
+    # The cross-product table and the bounded walk build the same candidates,
+    # in the same order, as the direct construction.
+    structures = [
+        load_game_file(str(GAMES / f"{name}.json")).any_structure()
+        for name in ("influencer", "abstract_pieces")
+    ]
+    structures += [compile_pieces(g) for g in game_corpus(60) if g.n_types == 3]
+    for s in structures:
+        for n in (24, 60):
+            assert oracle._candidates(s, n).every == _reference_candidates(s, n)
