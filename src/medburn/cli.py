@@ -30,7 +30,9 @@ from .geometry import (
     is_generic,
 )
 from .lp import CertificateError
-from .mechanism import check_ic, construct_optimal_mdmb, net_payoffs, sender_payoff
+from .mechanism import (
+    check_ic, construct_optimal_mdmb, net_payoffs, sender_payoff, validate_delta
+)
 from .oracle import GridSpec, audit_structure
 from .rational import Rational, format_decimal, format_fraction, rat
 from .solvers import (
@@ -187,18 +189,10 @@ def cmd_values(args) -> int:
 
 
 def cmd_mechanism(args) -> int:
+    delta = validate_delta(args.delta)  # before any LP is solved
     spec = load_game_file(args.path)
     if spec.game is None:
-        print("mechanism construction needs an explicit game, not direct pieces", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        delta = rat(args.delta)
-    except ValueError as exc:
-        print(f"bad --delta: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not (0 < delta < 1):
-        print(f"--delta must lie strictly between 0 and 1, got {format_fraction(delta)}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("mechanism construction needs an explicit game, not direct pieces")
     game = restrict_to_support(spec.game)
     value, cert = value_mdmb(game)
     mech = construct_optimal_mdmb(game, cert.p_star, delta)

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .rational import ONE, ZERO, Rational, RationalLike, format_fraction, rat
+from .rational import (
+    ONE, ZERO, Rational, RationalLike, format_fraction, over_common_denominator, rat
+)
 
 
 class GameValidationError(ValueError):
@@ -39,6 +41,12 @@ def _rat_tuple(values: Iterable[RationalLike]) -> tuple[Rational, ...]:
     return tuple([rat(v) for v in values])
 
 
+def _sums_to_one(values: Sequence[Rational]) -> bool:
+    """Whether ``values`` add up to one, by an integer sum over their common denominator."""
+    nums, den = over_common_denominator(values)
+    return sum(nums) == den
+
+
 @dataclass(frozen=True)
 class Belief:
     """A point on the probability simplex over types."""
@@ -47,9 +55,9 @@ class Belief:
 
     def __init__(self, weights: Iterable[RationalLike]):
         object.__setattr__(self, "weights", _rat_tuple(weights))
-        if any(w < 0 for w in self.weights):
+        if any(w.numerator < 0 for w in self.weights):
             raise PriorNotOnSimplex(f"negative belief weight in {self}")
-        if sum(self.weights, ZERO) != ONE:
+        if not _sums_to_one(self.weights):
             raise PriorNotOnSimplex(f"belief weights sum to {sum(self.weights, ZERO)}, not 1")
 
     def __len__(self) -> int:
@@ -89,7 +97,7 @@ class SubjectivePrior:
 
     def __init__(self, weights: Iterable[RationalLike]):
         object.__setattr__(self, "weights", _rat_tuple(weights))
-        if sum(self.weights, ZERO) != ONE:
+        if not _sums_to_one(self.weights):
             raise ValueError("subjective prior weights must sum to 1")
 
     def in_simplex(self) -> bool:
@@ -131,9 +139,9 @@ class PosteriorDistribution:
         object.__setattr__(self, "atoms", packed)
         if not packed:
             raise ValueError("posterior distribution needs at least one atom")
-        if any(w <= 0 for _, w in packed):
+        if any(w.numerator <= 0 for _, w in packed):
             raise ValueError("atom weights must be positive")
-        if sum((w for _, w in packed), ZERO) != ONE:
+        if not _sums_to_one([w for _, w in packed]):
             raise ValueError("atom weights must sum to 1")
         n = len(packed[0][0])
         if any(len(b) != n for b, _ in packed):

@@ -14,16 +14,25 @@ piece also gets a ``min`` branch paying its worst value less C, and
 reweightings range over the affine hull.  Offering both branches as separate
 blocks at the same region realizes the pointwise max exactly, because
 concavification already maximizes over decompositions.
+
+The programs are assembled on integers (mass rows from the prior, each
+piece's ``cone_rows`` shifted to its blocks) and their answers are read on
+integers: atoms come from the block sums of the optimal point, and the
+decomposition checks (Bayes plausibility, recombination to the value) are
+integer sums.  Beliefs, weights and reweightings become rationals once, for
+the returned result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .core import Belief, PosteriorDistribution, SubjectivePrior
 from .geometry import PiecewiseValueStructure
-from .lp import EQ, FREE, LE, NONNEG, OPTIMAL, CertificateError, LinearProgram, solve
-from .rational import ONE, ZERO, Rational, over_common_denominator, rat
+from .lp import EQ, FREE, LE, NONNEG, OPTIMAL, CertificateError, IntRows, LinearProgram, solve
+from .rational import ONE, ZERO, Rational, RationalLike, ScaledVector, over_common_denominator, rat
 
 MAX_BRANCH = "max"
 MIN_BRANCH = "min"
@@ -43,17 +52,29 @@ class EnvelopeResult:
     atoms: tuple[DecompositionAtom, ...]
 
     def posterior(self) -> PosteriorDistribution:
-        return PosteriorDistribution(
-            (a.belief, a.weight) for a in self.atoms
-        ).merged()
+        """The split as a distribution over beliefs: atoms at one belief (a
+        piece's two branches, or pieces meeting there) merge into one."""
+        merged: dict[tuple[Rational, ...], list] = {}
+        for a in self.atoms:
+            entry = merged.get(a.belief.weights)
+            if entry is None:
+                merged[a.belief.weights] = [a.belief, a.weight]
+            else:
+                entry[1] += a.weight
+        return PosteriorDistribution(merged.values())
 
 
-def subjective_weight(lam: SubjectivePrior, prior: Belief, mu: Belief) -> Rational:
-    """Likelihood reweighting sum(lam_t * mu_t / prior_t); identically 1 at lam == prior."""
+def subjective_weight(
+    lam: SubjectivePrior, prior: Belief, mu: Belief | Sequence[RationalLike]
+) -> Rational:
+    """Likelihood reweighting sum(lam_t * mu_t / prior_t); identically 1 at lam == prior.
+
+    Linear in ``mu``, which may be any vector over the types, not only a belief.
+    """
     total = ZERO
     for t in range(len(prior)):
         lt = lam[t]
-        if lt != 0:
+        if lt != 0 and mu[t] != 0:
             total += lt * mu[t] / prior[t]
     return total
 
@@ -90,77 +111,107 @@ def _blocks(
     return out
 
 
-def _cone_blocks(structure: PiecewiseValueStructure, pieces: list[int]):
+def _cone_blocks(
+    structure: PiecewiseValueStructure, pieces: list[int]
+) -> tuple[list[tuple[str, str]], IntRows, IntRows]:
     """Variables, prior-mass rows and cone rows for one block per listed piece.
 
     Block ``b`` holds the nonnegative ``mass x belief`` vector ``z{b}_{t}`` at
     columns ``b * dim + t``.  The mass rows make the blocks sum to the prior;
-    the cone rows keep each block in the cone over its piece's region.
+    the cone rows keep each block in the cone over its piece's region.  Both
+    are on integers: a mass row is the prior coordinate's denominator per
+    block over its numerator, and a block's cone rows are its piece's
+    ``cone_rows`` shifted to the block's columns.
     """
     n = structure.dim
     variables = [(f"z{b}_{t}", NONNEG) for b in range(len(pieces)) for t in range(n)]
-    mass = [
-        ({b * n + t: ONE for b in range(len(pieces))}, EQ, structure.prior[t])
-        for t in range(n)
-    ]
+    mass = []
+    for t, p in enumerate(structure.prior.weights):
+        d = p.denominator
+        mass.append((tuple([(b * n + t, d) for b in range(len(pieces))]), EQ, p.numerator, d))
     cone = []
     for b, k in enumerate(pieces):
-        for coeffs, relation in structure.pieces[k].region.cone_rows:
-            cone.append(({b * n + t: c for t, c in enumerate(coeffs) if c != 0}, relation, ZERO))
-    return variables, mass, cone
+        off = b * n
+        for pairs, relation, rhs, den in structure.pieces[k].region.cone_rows:
+            cone.append((tuple([(off + t, v) for t, v in pairs]), relation, rhs, den))
+    return variables, tuple(mass), tuple(cone)
 
 
-def _extract_atoms(
+class _Part(NamedTuple):
+    """One atom of a split on integers: ``z / den`` is its weight times its
+    belief, for the ``den`` the split is over."""
+
+    z: tuple[int, ...]
+    piece: int
+    branch: str
+    value: Rational
+
+
+def _parts(
     structure: PiecewiseValueStructure,
     blocks: list[tuple[int, str, Rational]],
-    primal,
-) -> tuple[DecompositionAtom, ...]:
+    primal: ScaledVector,
+) -> list[_Part]:
+    """The blocks that carry mass, over ``primal.den``; blocks at one belief
+    with one branch and value merge by adding their integer block sums."""
     n = structure.dim
-    atoms = []
+    nums = primal.nums
+    merged: dict[tuple, _Part] = {}
     for b, (k, branch, coeff) in enumerate(blocks):
-        z, den = over_common_denominator(primal[b * n : (b + 1) * n])
+        z = nums[b * n : (b + 1) * n]
         mass = sum(z)
         if mass == 0:
             continue
         # the atom's belief is z / mass
         if not structure.pieces[k].region.contains_scaled(z, mass):
             raise CertificateError("atom left its piece")
-        belief = Belief([rat(v, mass) for v in z])
-        atoms.append(DecompositionAtom(belief, rat(mass, den), k, branch, coeff))
-    return _merge_atoms(atoms)
-
-
-def _merge_atoms(atoms) -> tuple[DecompositionAtom, ...]:
-    grouped: dict[tuple, DecompositionAtom] = {}
-    order = []
-    for a in atoms:
-        key = (a.belief.weights, a.branch, a.value)
-        if key in grouped:
-            old = grouped[key]
-            grouped[key] = DecompositionAtom(
-                old.belief, old.weight + a.weight, old.piece, old.branch, old.value
-            )
+        g = math.gcd(*z)
+        key = (tuple([v // g for v in z]), branch, coeff)
+        part = merged.get(key)
+        if part is None:
+            merged[key] = _Part(z, k, branch, coeff)
         else:
-            grouped[key] = a
-            order.append(key)
-    return tuple(grouped[k] for k in order)
+            merged[key] = part._replace(z=tuple([a + c for a, c in zip(part.z, z)]))
+    return list(merged.values())
 
 
-def _check_result(
+def _atoms(parts: list[_Part], den: int) -> tuple[DecompositionAtom, ...]:
+    atoms = []
+    for part in parts:
+        mass = sum(part.z)
+        belief = Belief([rat(v, mass) for v in part.z])
+        atoms.append(DecompositionAtom(belief, rat(mass, den), part.piece, part.branch, part.value))
+    return tuple(atoms)
+
+
+def _check_split(
     structure: PiecewiseValueStructure,
     lam: SubjectivePrior,
-    result: EnvelopeResult,
+    parts: list[_Part],
+    den: int,
+    value: Rational,
 ) -> None:
+    """Bayes plausibility and recombination of a split over ``den``, on integers.
+
+    The atoms' ``z`` must add up to the prior, and re-evaluating every atom
+    under ``lam`` must give back ``value``.  A unit of mass on type ``t`` is
+    worth ``subjective_weight`` at that type's vertex, ``lam_t / prior_t``.
+    """
     n = structure.dim
-    totals = [ZERO] * n
-    recombined = ZERO
-    for a in result.atoms:
-        for t in range(n):
-            totals[t] += a.weight * a.belief[t]
-        recombined += a.weight * subjective_weight(lam, structure.prior, a.belief) * a.value
-    if tuple(totals) != structure.prior.weights:
-        raise CertificateError("decomposition is not Bayes-plausible")
-    if recombined != result.value:
+    prior, pden = over_common_denominator(structure.prior.weights)
+    for t in range(n):
+        if sum(part.z[t] for part in parts) * pden != prior[t] * den:
+            raise CertificateError("decomposition is not Bayes-plausible")
+    vertices = [[int(s == t) for s in range(n)] for t in range(n)]
+    ratios, rden = over_common_denominator(
+        [subjective_weight(lam, structure.prior, e) for e in vertices]
+    )
+    coeffs, cden = over_common_denominator([part.value for part in parts])
+    total = 0
+    for part, c in zip(parts, coeffs):
+        if c:
+            total += c * sum([r * v for r, v in zip(ratios, part.z)])
+    if total * value.denominator != value.numerator * den * rden * cden:
         raise CertificateError("decomposition does not re-evaluate to the value")
 
 
@@ -186,68 +237,75 @@ def concavify_weighted(
     _require_full_support(structure)
     n = structure.dim
     blocks = _blocks(structure, budget)
+    ratios = [lam[t] / structure.prior[t] for t in range(n)]
     objective: dict[int, Rational] = {}
     for b, (_, _, coeff) in enumerate(blocks):
         if coeff == 0:
             continue
         for t in range(n):
-            lt = lam[t]
-            if lt != 0:
-                objective[b * n + t] = coeff * lt / structure.prior[t]
+            if ratios[t] != 0:
+                objective[b * n + t] = coeff * ratios[t]
     variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
-    lp = LinearProgram("max", variables, objective, mass + cone)
+    lp = LinearProgram.on_integers("max", variables, objective, mass + cone)
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise CertificateError(f"envelope LP came back {sol.status}")
-    atoms = _extract_atoms(structure, blocks, sol.primal)
+    parts = _parts(structure, blocks, sol.primal_scaled)
+    den = sol.primal_scaled.den
     if budget is None:
-        atoms = _caratheodory_reduce(structure, lam, atoms, sol.value)
-        if len(atoms) > n + 1:
+        parts, den = _caratheodory_reduce(structure, lam, parts, den, sol.value)
+        if len(parts) > n + 1:
             raise CertificateError("max-only decomposition exceeds the Caratheodory bound")
-    result = EnvelopeResult(sol.value, atoms)
-    _check_result(structure, lam, result)
-    return result
+    _check_split(structure, lam, parts, den, sol.value)
+    return EnvelopeResult(sol.value, _atoms(parts, den))
 
 
 def _caratheodory_reduce(
     structure: PiecewiseValueStructure,
     lam: SubjectivePrior,
-    atoms: tuple[DecompositionAtom, ...],
+    parts: list[_Part],
+    den: int,
     value: Rational,
-) -> tuple[DecompositionAtom, ...]:
+) -> tuple[list[_Part], int]:
     """Rebalance onto a basic subset: at most |types|+1 atoms carry the split.
 
     The reweighting constraints (prior coordinates plus total objective) have
     rank at most |types|+1, so any basic feasible reweighting of the existing
     atoms has support that small; beliefs and branch values never move.
+    Returns the kept atoms and the denominator they are over.
     """
     n = structure.dim
-    if len(atoms) <= n + 1:
-        return atoms
+    if len(parts) <= n + 1:
+        return parts, den
+    masses = [sum(part.z) for part in parts]
+    beliefs = [[rat(v, m) for v in part.z] for part, m in zip(parts, masses)]
     gains = [
-        subjective_weight(lam, structure.prior, a.belief) * a.value for a in atoms
+        subjective_weight(lam, structure.prior, mu) * part.value
+        for mu, part in zip(beliefs, parts)
     ]
     cons: list[tuple[dict, str, Rational]] = []
     for t in range(n):
-        cons.append(
-            ({i: atoms[i].belief[t] for i in range(len(atoms))}, EQ, structure.prior[t])
-        )
-    cons.append(({i: gains[i] for i in range(len(atoms))}, EQ, value))
+        cons.append(({i: mu[t] for i, mu in enumerate(beliefs)}, EQ, structure.prior[t]))
+    cons.append(({i: gains[i] for i in range(len(parts))}, EQ, value))
     lp = LinearProgram(
         "max",
-        [(f"w{i}", NONNEG) for i in range(len(atoms))],
+        [(f"w{i}", NONNEG) for i in range(len(parts))],
         {},
         cons,
     )
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise CertificateError("reduction LP must stay feasible")
+    # atom i keeps its belief z_i / m_i at weight w_i / wden: over wden * lcm(m),
+    # its block sums are w_i * z_i * (lcm(m) / m_i)
+    w = sol.primal_scaled
+    scale = math.lcm(*masses)
     kept = [
-        DecompositionAtom(a.belief, w, a.piece, a.branch, a.value)
-        for a, w in zip(atoms, sol.primal)
-        if w > 0
+        part._replace(z=tuple([wi * v * (scale // m) for v in part.z]))
+        for part, m, wi in zip(parts, masses, w.nums)
+        if wi > 0
     ]
-    return _merge_atoms(kept)
+    return kept, w.den * scale
 
 
 @dataclass(frozen=True)
@@ -278,30 +336,33 @@ def worst_prior_envelope(
     variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
     variables.append(("eta", FREE))
 
-    # Payoff rows sit right after the n mass rows, so their duals are sol.dual[n + t].
-    payoff: list[tuple[dict, str, Rational]] = []
+    # Payoff rows sit right after the n mass rows, so their duals are dual[n + t].
+    # Row t is eta - sum_b coeff_b / prior_t * z{b}_{t} REL 0: with the
+    # coefficients as numerators over cden, its entries are over cden * p_t's
+    # numerator, then reduced to their least common denominator.
     relation = LE if budget is None else EQ
-    for t in range(n):
-        row: dict[int, Rational] = {eta: ONE}
-        for b, (_, _, coeff) in enumerate(blocks):
-            if coeff != 0:
-                row[b * n + t] = -coeff / structure.prior[t]
-        payoff.append((row, relation, ZERO))
+    coeffs, cden = over_common_denominator([coeff for _, _, coeff in blocks])
+    payoff = []
+    for t, p in enumerate(structure.prior.weights):
+        den = cden * p.numerator
+        row = [(b * n + t, -c * p.denominator) for b, c in enumerate(coeffs) if c] + [(eta, den)]
+        g = math.gcd(den, *[v for _, v in row])
+        payoff.append((tuple([(j, v // g) for j, v in row]), relation, 0, den // g))
 
-    lp = LinearProgram("max", variables, {eta: ONE}, mass + payoff + cone)
+    lp = LinearProgram.on_integers("max", variables, {eta: ONE}, mass + tuple(payoff) + cone)
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise CertificateError(f"worst-prior LP came back {sol.status}")
-    lam_weights = [sol.dual[n + t] for t in range(n)]
-    if sum(lam_weights, ZERO) != ONE:
+    y = sol.dual_scaled
+    lam_nums = y.nums[n : 2 * n]
+    if sum(lam_nums) != y.den:
         raise CertificateError("payoff-row multipliers must sum to 1")
-    if budget is None and any(w < 0 for w in lam_weights):
+    if budget is None and any(v < 0 for v in lam_nums):
         raise CertificateError("simplex multipliers must be nonnegative")
-    lam = SubjectivePrior(lam_weights)
-    atoms = _extract_atoms(structure, blocks, sol.primal)
-    envelope = EnvelopeResult(sol.value, atoms)
-    _check_result(structure, lam, envelope)
-    return WorstPriorResult(lam, envelope)
+    lam = SubjectivePrior([rat(v, y.den) for v in lam_nums])
+    parts = _parts(structure, blocks, sol.primal_scaled)
+    _check_split(structure, lam, parts, sol.primal_scaled.den, sol.value)
+    return WorstPriorResult(lam, EnvelopeResult(sol.value, _atoms(parts, sol.primal_scaled.den)))
 
 
 def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:
@@ -317,6 +378,7 @@ def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:
     for level in levels:
         qualifying = [k for k, p in enumerate(pieces) if p.vmax >= level]
         variables, mass, cone = _cone_blocks(structure, qualifying)
-        if solve(LinearProgram("max", variables, {}, mass + cone)).status == OPTIMAL:
+        lp = LinearProgram.on_integers("max", variables, {}, mass + cone)
+        if solve(lp).status == OPTIMAL:
             return level
     raise CertificateError("piece regions failed to cover the simplex")

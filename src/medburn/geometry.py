@@ -21,7 +21,7 @@ from .core import Belief, PersuasionGame
 from .lp import (
     EQ, FREE, GE, LE, NONNEG, OPTIMAL, IntRows, LinearProgram, integer_rows, rows_hold, solve
 )
-from .rational import ONE, ZERO, Rational, RationalLike, over_common_denominator, rat
+from .rational import ZERO, Rational, RationalLike, over_common_denominator, rat
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,22 @@ class Polytope:
         return len(point) == self.dim and rows_hold(self.int_rows, point, scale)
 
     @cached_property
-    def cone_rows(self) -> tuple[tuple[tuple[Rational, ...], str], ...]:
-        """Homogenized rows: a.mu REL b becomes (a - b*1).z REL 0.
+    def cone_rows(self) -> IntRows:
+        """Homogenized rows on integers: a.mu REL b becomes (a - b*1).z REL 0.
 
         Scaling a belief by a nonnegative mass keeps these rows valid, so they
         cut out the cone over the polytope.  The cone's variables are
         nonnegative, so rows that z >= 0 already implies are left out: a
         ``>=`` row with no negative coefficient, a ``<=`` row with no positive
-        coefficient, and an ``=`` row that homogenizes to all zeros.
+        coefficient, and an ``=`` row that homogenizes to all zeros.  Built
+        once per polytope, in ``integer_rows`` form over the coordinates
+        ``t``; an envelope program shifts the indices to its block.
         """
-        out = []
+        kept = []
         for coeffs, relation, rhs in self.rows:
-            shifted = tuple([c - rhs for c in coeffs])
-            negative = any(c < 0 for c in shifted)
-            positive = any(c > 0 for c in shifted)
+            pairs = [(t, c - rhs) for t, c in enumerate(coeffs) if c != rhs]
+            negative = any(c < 0 for _, c in pairs)
+            positive = any(c > 0 for _, c in pairs)
             if relation == GE:
                 needed = negative
             elif relation == LE:
@@ -87,15 +89,15 @@ class Polytope:
             else:
                 needed = negative or positive
             if needed:
-                out.append((shifted, relation))
-        return tuple(out)
+                kept.append((pairs, relation, ZERO))
+        return integer_rows(kept)
 
     def is_empty(self) -> bool:
+        """Whether no belief satisfies the rows: one LP, the sum-to-one row then ``int_rows``."""
         n = self.dim
-        rows = [({t: ONE for t in range(n)}, EQ, ONE)]
-        rows += [({t: c for t, c in enumerate(coeffs) if c != 0}, relation, rhs)
-                 for coeffs, relation, rhs in self.rows]
-        lp = LinearProgram("max", [(f"m{t}", NONNEG) for t in range(n)], {}, rows)
+        simplex = ((tuple([(t, 1) for t in range(n)]), EQ, 1, 1),)
+        variables = [(f"m{t}", NONNEG) for t in range(n)]
+        lp = LinearProgram.on_integers("max", variables, {}, simplex + self.int_rows)
         return solve(lp).status != OPTIMAL
 
 

@@ -1,18 +1,25 @@
 """Exact linear programming over rationals with certified answers.
 
-Two-phase tableau simplex with Bland's anti-cycling rule.  A program keeps
-its rational ``constraints`` and derives ``int_rows`` from them once: each
-row's numerators over its least common denominator.  The tableau starts from
-those rows and stays fraction-free: a pivot updates a row by integer
-cross-multiplication (integer-preserving elimination in the style of Edmonds
-1967 and Bareiss 1968) and divides out the gcd of the row and its
-denominator only once the denominator passes ``REDUCE_BITS`` bits.
-Rationals are rebuilt only for the returned vectors.  An ``optimal`` answer
-comes with a primal point and dual multipliers that satisfy feasibility and
-strong duality exactly, and an ``infeasible`` answer carries a Farkas
-combination of the rows.  The checks scale the answer to one denominator
-and compare integer sums against ``int_rows``; a failed check raises
-``CertificateError`` in every interpreter mode.  There are no tolerances.
+Two-phase tableau simplex with Bland's anti-cycling rule.  A program is
+stored on integers: ``int_rows`` holds each constraint row's numerators over
+its least common denominator, derived once when the program is built from
+rational rows, or handed over as they are by ``LinearProgram.on_integers``;
+``constraints``, the rows as rationals, is built only when read.  The
+tableau starts from those rows and stays fraction-free: a pivot updates a
+row by integer cross-multiplication (integer-preserving elimination in the
+style of Edmonds 1967 and Bareiss 1968) and divides out the gcd of the row
+and its denominator only once the denominator passes ``REDUCE_BITS`` bits.
+
+An ``optimal`` answer is read back as integers: the primal point over the
+least common denominator of its basic values, the dual multipliers over the
+objective row's denominator.  The solver checks them on those integers:
+primal rows by integer sums, dual signs and the cost row by one combination
+of the rows, and strong duality by the multipliers' dot product with the
+right-hand sides.  ``LpSolution.primal`` and ``.dual`` build their
+``Rational`` tuples only when read; the value is the one rational built per
+answer.  An ``infeasible`` answer carries a Farkas combination of the rows,
+checked the same way.  A failed check raises ``CertificateError`` in every
+interpreter mode.  There are no tolerances.
 
 Scale target is desk-sized instances (up to a few hundred variables); no
 attempt is made at sparse factorizations or revised-simplex bookkeeping.
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .rational import ONE, ZERO, Rational, RationalLike, over_common_denominator, rat
+from .rational import Rational, RationalLike, ScaledVector, over_common_denominator, rat, scaled
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -57,7 +64,7 @@ def _pack_row(row: SparseRow, nvars: int, what: str) -> tuple[tuple[int, Rationa
     for j, coeff in row.items():
         if not isinstance(j, int) or isinstance(j, bool) or j < 0 or j >= nvars:
             raise MalformedProgram(f"{what} references undeclared variable {j!r}")
-        c = coeff if type(coeff) is Rational else rat(coeff)
+        c = rat(coeff)
         if c:
             packed.append((j, c))
     return tuple(sorted(packed))
@@ -92,7 +99,7 @@ class LinearProgram:
     sense: str
     variables: tuple[tuple[str, str], ...]  # (name, "nonneg" | "free")
     objective: tuple[tuple[int, Rational], ...]
-    constraints: tuple[tuple[tuple[tuple[int, Rational], ...], str, Rational], ...]
+    int_rows: IntRows
 
     def __init__(
         self,
@@ -101,6 +108,41 @@ class LinearProgram:
         objective: SparseRow,
         constraints: Iterable[tuple[SparseRow, str, RationalLike]],
     ):
+        n = self._set_fields(sense, variables, objective)
+        cons = []
+        for row, relation, rhs in constraints:
+            if relation not in _RELS:
+                raise MalformedProgram(f"unknown relation {relation!r}")
+            cons.append((_pack_row(row, n, "constraint"), relation, rat(rhs)))
+        object.__setattr__(self, "int_rows", integer_rows(cons))
+
+    @classmethod
+    def on_integers(
+        cls,
+        sense: str,
+        variables: Sequence[tuple[str, str]],
+        objective: SparseRow,
+        int_rows: Iterable[tuple[tuple[tuple[int, int], ...], str, int, int]],
+    ) -> "LinearProgram":
+        """A program whose constraints are already on integers, as ``int_rows``
+        holds them: each row's ``(j, numerator)`` pairs, sorted by ``j`` and
+        without zeros, its relation, its rhs numerator, and the least common
+        denominator they are all over."""
+        program = cls.__new__(cls)
+        n = program._set_fields(sense, variables, objective)
+        rows = tuple(int_rows)
+        for pairs, relation, _, den in rows:
+            if relation not in _RELS:
+                raise MalformedProgram(f"unknown relation {relation!r}")
+            if den <= 0 or pairs and (pairs[0][0] < 0 or pairs[-1][0] >= n):
+                raise MalformedProgram("integer row out of range")
+        object.__setattr__(program, "int_rows", rows)
+        return program
+
+    def _set_fields(
+        self, sense: str, variables: Sequence[tuple[str, str]], objective: SparseRow
+    ) -> int:
+        """Validate and store everything but the rows; return the variable count."""
         if sense not in ("max", "min"):
             raise MalformedProgram(f"sense must be 'max' or 'min', got {sense!r}")
         vars_packed = tuple([(str(n), s) for n, s in variables])  # see lcm_of_denominators
@@ -108,76 +150,112 @@ class LinearProgram:
             if sign not in (NONNEG, FREE):
                 raise MalformedProgram(f"variable {name!r} has unknown sign {sign!r}")
         n = len(vars_packed)
-        cons = []
-        for row, relation, rhs in constraints:
-            if relation not in _RELS:
-                raise MalformedProgram(f"unknown relation {relation!r}")
-            cons.append((_pack_row(row, n, "constraint"), relation, rat(rhs)))
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "variables", vars_packed)
         object.__setattr__(self, "objective", _pack_row(objective, n, "objective"))
-        object.__setattr__(self, "constraints", tuple(cons))
+        return n
 
     @cached_property
-    def int_rows(self) -> IntRows:
-        """``constraints`` on integers, built once per program."""
-        return integer_rows(self.constraints)
+    def constraints(self) -> tuple[tuple[tuple[tuple[int, Rational], ...], str, Rational], ...]:
+        """``int_rows`` as rationals: sorted ``(j, coefficient)`` pairs, relation, rhs."""
+        return tuple([
+            (tuple([(j, rat(v, den)) for j, v in pairs]), relation, rat(b, den))
+            for pairs, relation, b, den in self.int_rows
+        ])
+
+    @cached_property
+    def int_objective(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """``objective`` on integers: ``(j, numerator)`` pairs and their common denominator."""
+        nums, den = over_common_denominator([c for _, c in self.objective])
+        return tuple([(j, v) for (j, _), v in zip(self.objective, nums)]), den
 
     @property
     def n_vars(self) -> int:
         return len(self.variables)
 
-    def objective_value(self, x: Sequence[Rational]) -> Rational:
-        return sum((c * x[j] for j, c in self.objective), ZERO)
+    def objective_value(self, x: Sequence[Rational] | ScaledVector) -> Rational:
+        nums, den = scaled(x)
+        pairs, cden = self.int_objective
+        total = 0
+        for j, c in pairs:
+            total += c * nums[j]
+        return rat(total, cden * den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
+    """A solver answer.  ``primal`` and ``dual`` are tuples of rationals built,
+    the first time they are read, from the integer vectors the solver checked,
+    ``primal_scaled`` and ``dual_scaled``.  Two answers are equal when their
+    status, value, primal, dual and Farkas vectors are."""
+
     status: str
     value: Rational | None = None
-    primal: tuple[Rational, ...] | None = None
-    dual: tuple[Rational, ...] | None = None
+    primal_scaled: ScaledVector | None = None
+    dual_scaled: ScaledVector | None = None
     farkas: tuple[Rational, ...] | None = None
 
+    @cached_property
+    def primal(self) -> tuple[Rational, ...] | None:
+        return None if self.primal_scaled is None else self.primal_scaled.rationals()
 
-def primal_feasible(lp: LinearProgram, x: Sequence[Rational]) -> bool:
-    nums, den = over_common_denominator(x)
+    @cached_property
+    def dual(self) -> tuple[Rational, ...] | None:
+        return None if self.dual_scaled is None else self.dual_scaled.rationals()
+
+    def _key(self) -> tuple:
+        return (self.status, self.value, self.primal, self.dual, self.farkas)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LpSolution):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def primal_feasible(lp: LinearProgram, x: Sequence[Rational] | ScaledVector) -> bool:
+    nums, den = scaled(x)
     for (_, sign), v in zip(lp.variables, nums):
         if sign == NONNEG and v < 0:
             return False
     return rows_hold(lp.int_rows, nums, den)
 
 
-def _combine(lp: LinearProgram, y: Sequence[Rational]) -> tuple[list[int], list[int], int, int]:
-    """``sum_i y[i] * (row_i, rhs_i)`` on integers: multipliers ``f`` with
-    ``f[i] / w == y[i] / den_i``, so of ``y[i]``'s sign, then the combined row
+def _combine(
+    lp: LinearProgram, y: Sequence[Rational] | ScaledVector
+) -> tuple[Sequence[int], list[int], int, int]:
+    """``sum_i y[i] * (row_i, rhs_i)`` on integers: the numerators of ``y``
+    over one positive denominator, so of ``y``'s signs, then the combined row
     and rhs as numerators over the one positive denominator ``w``."""
+    nums, den = scaled(y)
     rows = lp.int_rows
-    w = math.lcm(*[yi.denominator * r[3] for yi, r in zip(y, rows) if yi])
-    f = [yi.numerator * (w // (yi.denominator * r[3])) for yi, r in zip(y, rows)]
+    scale = math.lcm(*[r[3] for yi, r in zip(nums, rows) if yi])
     combo = [0] * lp.n_vars
     rhs = 0
-    for fi, (row, _, b, _) in zip(f, rows):
-        if fi:
-            rhs += fi * b
+    for yi, (row, _, b, d) in zip(nums, rows):
+        if yi:
+            f = yi * (scale // d)
+            rhs += f * b
             for j, c in row:
-                combo[j] += fi * c
-    return f, combo, rhs, w
+                combo[j] += f * c
+    return nums, combo, rhs, den * scale
 
 
-def dual_feasible(lp: LinearProgram, y: Sequence[Rational]) -> bool:
+def dual_feasible(lp: LinearProgram, y: Sequence[Rational] | ScaledVector) -> bool:
     """Exact feasibility of ``y`` for the dual of ``lp`` (signs and rows)."""
     is_max = lp.sense == "max"
-    f, combo, _, w = _combine(lp, y)
-    for fi, (_, relation, _) in zip(f, lp.constraints):
-        if relation == LE and (fi < 0 if is_max else fi > 0):
+    nums, combo, _, w = _combine(lp, y)
+    for yi, (_, relation, _, _) in zip(nums, lp.int_rows):
+        if relation == LE and (yi < 0 if is_max else yi > 0):
             return False
-        if relation == GE and (fi > 0 if is_max else fi < 0):
+        if relation == GE and (yi > 0 if is_max else yi < 0):
             return False
     # compare combo / w with the cost row c / cden
-    nums, cden = over_common_denominator([c for _, c in lp.objective])
+    pairs, cden = lp.int_objective
     cost = [0] * lp.n_vars
-    for (j, _), v in zip(lp.objective, nums):
+    for j, v in pairs:
         cost[j] = v * w
     for j, (_, sign) in enumerate(lp.variables):
         excess = combo[j] * cden - cost[j]
@@ -187,22 +265,29 @@ def dual_feasible(lp: LinearProgram, y: Sequence[Rational]) -> bool:
     return True
 
 
-def dual_objective(lp: LinearProgram, y: Sequence[Rational]) -> Rational:
-    _, _, rhs, w = _combine(lp, y)
-    return rat(rhs, w)
+def dual_objective(lp: LinearProgram, y: Sequence[Rational] | ScaledVector) -> Rational:
+    """``sum_i y[i] * rhs_i``: the rhs part of the row combination alone."""
+    nums, den = scaled(y)
+    rows = lp.int_rows
+    scale = math.lcm(*[r[3] for yi, r in zip(nums, rows) if yi and r[2]])
+    total = 0
+    for yi, (_, _, b, d) in zip(nums, rows):
+        if yi and b:
+            total += yi * b * (scale // d)
+    return rat(total, den * scale)
 
 
-def farkas_valid(lp: LinearProgram, u: Sequence[Rational]) -> bool:
+def farkas_valid(lp: LinearProgram, u: Sequence[Rational] | ScaledVector) -> bool:
     """Check that ``u`` certifies infeasibility.
 
     Sign-compatible multipliers whose combined row no sign-feasible point can
     make positive, yet with a positive combined rhs: a contradiction witness.
     """
-    f, combo, rhs, _ = _combine(lp, u)
-    for fi, (_, relation, _) in zip(f, lp.constraints):
-        if relation == LE and fi > 0:
+    nums, combo, rhs, _ = _combine(lp, u)
+    for ui, (_, relation, _, _) in zip(nums, lp.int_rows):
+        if relation == LE and ui > 0:
             return False
-        if relation == GE and fi < 0:
+        if relation == GE and ui < 0:
             return False
     for j, (_, sign) in enumerate(lp.variables):
         if sign == FREE and combo[j] != 0:
@@ -257,9 +342,8 @@ class _Tableau:
     row's entries: below the bound a row may share a factor with its
     denominator.  The objective row is ``objrow[k] / objden`` in the same
     form.  Signs and ratio-test comparisons read the numerators of
-    one row at a time, so a common factor changes no decision; rationals,
-    in lowest terms, are rebuilt only when the primal and dual vectors are
-    extracted.
+    one row at a time, so a common factor changes no decision.  The answer
+    is read back on integers too (``_read_primal``, ``_read_duals``).
     """
 
     def __init__(self, lp: LinearProgram):
@@ -278,7 +362,7 @@ class _Tableau:
 
         # Standardize every row to rhs >= 0: ">=" rows are negated into "<="
         # form, and "<=" or "=" rows with a negative rhs are negated.
-        m = len(lp.constraints)
+        m = len(lp.int_rows)
         self.row_scale: list[int] = []  # sign that standardized row i
         kinds: list[str] = []  # "slack" (kept <=) | "tight" (>= or =, rhs >= 0)
         for _, relation, b, _ in lp.int_rows:
@@ -296,7 +380,7 @@ class _Tableau:
         # artificial column per row that lacks an identity column.
         col = self.n_struct
         aux_of_row: list[int | None] = [None] * m
-        for i, (_, relation, _) in enumerate(lp.constraints):
+        for i, (_, relation, _, _) in enumerate(lp.int_rows):
             if relation != EQ:
                 aux_of_row[i] = col
                 col += 1
@@ -364,9 +448,9 @@ class _Tableau:
             self.objrow, self.objden = _eliminate(self.objrow, self.objden, row, support, p, f)
         self.basis[r] = c
 
-    def _set_objective(self, cost: list[Rational]) -> None:
-        self.objrow, self.objden = over_common_denominator(cost)
-        self.objrow.append(0)
+    def _set_objective(self, objrow: list[int], objden: int) -> None:
+        """Install the cost row ``objrow / objden`` and price out the basis."""
+        self.objrow, self.objden = objrow, objden
         for r, b in enumerate(self.basis):
             f = self.objrow[b]
             if f:
@@ -408,33 +492,33 @@ class _Tableau:
 
     def run(self) -> LpSolution:
         lp = self.lp
-        minimize = lp.sense == "min"
-        cost = [ZERO] * self.ncols
-        for j, c in lp.objective:
-            pos, neg = self.col_of_var[j]
-            cc = c if minimize else -c
-            cost[pos] += cc
-            if neg is not None:
-                cost[neg] -= cc
-
         if self.artificial_cols:
-            phase1 = [ONE if c in self.artificial_cols else ZERO for c in range(self.ncols)]
-            self._set_objective(phase1)
+            phase1 = [int(c in self.artificial_cols) for c in range(self.ncols + 1)]
+            self._set_objective(phase1, 1)
             if self._iterate(banned=set()) != OPTIMAL:
                 raise CertificateError("phase 1 reported an unbounded auxiliary program")
             if self.objrow[self.ncols] != 0:
-                farkas = self._extract_duals(phase1_duals=True)
+                farkas = self._read_duals(phase1=True)
                 if not farkas_valid(lp, farkas):
                     raise CertificateError("invalid Farkas certificate")
-                return LpSolution(status=INFEASIBLE, farkas=tuple(farkas))
+                return LpSolution(status=INFEASIBLE, farkas=farkas.rationals())
             self._purge_artificials()
 
-        self._set_objective(cost)
+        # Phase 2 minimizes: a max program's costs are negated.
+        pairs, cden = lp.int_objective
+        flip = 1 if lp.sense == "min" else -1
+        cost = [0] * (self.ncols + 1)
+        for j, v in pairs:
+            pos, neg = self.col_of_var[j]
+            cost[pos] = flip * v
+            if neg is not None:
+                cost[neg] = -flip * v
+        self._set_objective(cost, cden)
         status = self._iterate(banned=self.artificial_cols)
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED)
-        x = self._extract_primal()
-        y = self._extract_duals(phase1_duals=False)
+        x = self._read_primal()
+        y = self._read_duals(phase1=False)
         value = lp.objective_value(x)
         if not primal_feasible(lp, x):
             raise CertificateError("simplex primal point is infeasible")
@@ -442,7 +526,7 @@ class _Tableau:
             raise CertificateError("simplex dual multipliers are infeasible")
         if dual_objective(lp, y) != value:
             raise CertificateError("strong duality violated")
-        return LpSolution(status=OPTIMAL, value=value, primal=tuple(x), dual=tuple(y))
+        return LpSolution(OPTIMAL, value, x, y)
 
     def _purge_artificials(self) -> None:
         """Drive zero-level artificials out of the basis; drop redundant rows."""
@@ -464,35 +548,41 @@ class _Tableau:
                 self._pivot(r, pivot_col)
             r += 1
 
-    def _extract_primal(self) -> list[Rational]:
-        vals = [ZERO] * self.ncols
+    def _read_primal(self) -> ScaledVector:
+        """The basic point over the least common denominator of its coordinates."""
+        vals: dict[int, tuple[int, int]] = {}  # structural column -> value in lowest terms
         for r, b in enumerate(self.basis):
-            vals[b] = rat(self.rows[r][self.ncols], self.dens[r])
+            v = self.rows[r][self.ncols]
+            if v and b < self.n_struct:
+                d = self.dens[r]
+                g = math.gcd(v, d)
+                vals[b] = (v // g, d // g)
+        den = math.lcm(*[d for _, d in vals.values()])
         x = []
         for pos, neg in self.col_of_var:
-            x.append(vals[pos] - (vals[neg] if neg is not None else ZERO))
-        return x
+            v, d = vals.get(pos, (0, 1))
+            xj = v * (den // d)
+            if neg is not None:
+                v, d = vals.get(neg, (0, 1))
+                xj -= v * (den // d)
+            x.append(xj)
+        return ScaledVector(tuple(x), den)
 
-    def _extract_duals(self, phase1_duals: bool) -> list[Rational]:
-        """Read y = (basis cost) . B^-1 off the identity columns.
+    def _read_duals(self, phase1: bool) -> ScaledVector:
+        """Read y = (basis cost) . B^-1 off the identity columns, over ``objden``.
 
         The identity column of row i satisfies reduced_cost = cost_col - y_i.
         Slacks cost zero in both phases; artificials cost one in phase 1.
         Multipliers for rows deleted as redundant stay zero.
         """
-        m = len(self.lp.constraints)
-        y = [ZERO] * m
-        present = set(self.row_of_orig)
-        for orig in range(m):
-            if orig not in present:
-                continue
+        objrow, objden = self.objrow, self.objden
+        flip = -1 if not phase1 and self.lp.sense == "max" else 1
+        y = [0] * len(self.lp.int_rows)
+        for orig in self.row_of_orig:
             col = self.id_col[orig]
-            reduced = rat(self.objrow[col], self.objden)
-            col_cost = ONE if (phase1_duals and col in self.artificial_cols) else ZERO
-            y[orig] = self.row_scale[orig] * (col_cost - reduced)
-        if not phase1_duals and self.lp.sense == "max":
-            y = [-v for v in y]
-        return y
+            cost = objden if phase1 and col in self.artificial_cols else 0
+            y[orig] = flip * self.row_scale[orig] * (cost - objrow[col])
+        return ScaledVector(tuple(y), objden)
 
 
 def solve(lp: LinearProgram) -> LpSolution:

@@ -29,6 +29,17 @@ class InvalidDelta(ValueError):
     pass
 
 
+def validate_delta(delta: RationalLike) -> Rational:
+    """``delta`` as a rational strictly between 0 and 1, else ``InvalidDelta``."""
+    try:
+        d = rat(delta)
+    except ValueError as exc:
+        raise InvalidDelta(f"bad delta: {exc}") from exc
+    if not (0 < d < 1):
+        raise InvalidDelta(f"delta must lie strictly between 0 and 1, got {d}")
+    return d
+
+
 class NotIncentiveCompatible(ValueError):
     pass
 
@@ -141,9 +152,7 @@ def construct_optimal_mdmb(
     delta-blended interim payoffs, so net payoffs coincide exactly for every
     delta rather than only in the limit.
     """
-    d = rat(delta)
-    if not (0 < d < 1):
-        raise InvalidDelta(f"delta must lie strictly between 0 and 1, got {d}")
+    d = validate_delta(delta)
     game = restrict_to_support(game)
     if not p_star.is_bayes_plausible(game.prior):
         raise ValueError("scheme must be Bayes-plausible at the prior")

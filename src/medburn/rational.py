@@ -3,16 +3,20 @@
 Every quantity in this package is an exact rational; floats never enter any
 computation.  ``Rational`` is ``fractions.Fraction``: lowest-terms
 numerator/denominator with a positive denominator and exact ``+ - * /``.
-The LP pivot loop and certificate checks, polytope containment and the grid
-oracle's kernels work on Python integers over common denominators, built
-with the helpers below.  ``Fraction`` still enters where games, programs and
-polytope rows are built, where answers, atoms and certificates are read back
-and recombined, and in the saddle and mechanism audits.
+The LP pivot loop, its answers and certificate checks, the envelope
+programs' cone rows, atoms and decomposition checks, the saddle
+certificate's payoffs, polytope containment and the grid oracle's kernels
+work on Python integers over common denominators, built with the helpers
+below; a ``ScaledVector`` carries such a vector between them.  ``Fraction``
+still enters where games, polytope rows and the non-envelope programs are
+built, where returned values, atoms and reweightings are built once from
+those integers, and in the saddle and mechanism audits.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -26,6 +30,8 @@ ONE = Fraction(1)
 def rat(value: RationalLike, denominator: int | None = None) -> Rational:
     """Build an exact rational from an int, ``p/q``, or an exact decimal string.
 
+    A ``Fraction`` comes back as the same object.
+
     Decimal literals convert exactly (``"0.25"`` -> 1/4).  Floats are rejected:
     they would smuggle binary rounding into an otherwise exact pipeline.
     """
@@ -33,6 +39,8 @@ def rat(value: RationalLike, denominator: int | None = None) -> Rational:
         if denominator == 0:
             raise ZeroDivisionError("rational with zero denominator")
         return Fraction(value, denominator)
+    if type(value) is Fraction:
+        return value  # immutable and already in lowest terms
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, (int, Fraction)):
@@ -62,6 +70,29 @@ def over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]
     """Integer numerators of ``values`` over their least common denominator, and that denominator."""
     den = lcm_of_denominators(values)
     return [numerator_over(v, den) for v in values], den
+
+
+@dataclass(frozen=True)
+class ScaledVector:
+    """The rationals ``nums[i] / den``: integer numerators over one positive denominator.
+
+    Not necessarily in lowest terms.  ``rationals()`` builds the ``Rational``
+    tuple; code that works on integers reads ``nums`` and ``den`` directly.
+    """
+
+    nums: tuple[int, ...]
+    den: int
+
+    def rationals(self) -> tuple[Rational, ...]:
+        den = self.den
+        return tuple([Fraction(v, den) if v else ZERO for v in self.nums])
+
+
+def scaled(values: Sequence[Rational] | ScaledVector) -> tuple[Sequence[int], int]:
+    """Integer numerators and one positive denominator for ``values``."""
+    if isinstance(values, ScaledVector):
+        return values.nums, values.den
+    return over_common_denominator(values)
 
 
 def format_fraction(value: Rational) -> str:

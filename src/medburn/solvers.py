@@ -16,6 +16,7 @@ structures given directly as pieces run through the identical pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from .envelopes import (
 )
 from .geometry import PiecewiseValueStructure, compile_pieces, value_interval
 from .lp import EQ, FREE, GE, OPTIMAL, CertificateError, LinearProgram, solve
-from .rational import ONE, ZERO, Rational, RationalLike, rat
+from .rational import ONE, ZERO, Rational, RationalLike, over_common_denominator, rat
 
 
 class InadmissibleValue(ValueError):
@@ -89,15 +90,25 @@ def interim_payoffs(
 
 
 def _payoff_shares(prior, p: PosteriorDistribution, vals) -> tuple[Rational, ...]:
-    if not p.is_bayes_plausible(prior):
-        raise ValueError("posterior distribution does not average to the prior")
+    """Type t's share ``sum_a w_a * mu_a[t] / prior[t] * v_a``, on integers.
+
+    The joint masses ``w_a * mu_a[t]`` go over one denominator; they must
+    add up to the prior, and each share is the one rational built per type.
+    """
+    joint = []
+    for belief, weight in p.atoms:
+        nums, den = over_common_denominator(belief.weights)
+        joint.append(([weight.numerator * v for v in nums], weight.denominator * den))
+    den = math.lcm(*[d for _, d in joint])
+    masses = [[v * (den // d) for v in nums] for nums, d in joint]
+    pnums, pden = over_common_denominator(prior.weights)
+    vnums, vden = over_common_denominator(vals)
     out = []
-    for t in range(len(prior)):
-        total = ZERO
-        for (belief, weight), v in zip(p.atoms, vals):
-            if belief[t] != 0:
-                total += weight * belief[t] / prior[t] * v
-        out.append(total)
+    for t, pt in enumerate(pnums):
+        if sum([m[t] for m in masses]) * pden != pt * den:
+            raise ValueError("posterior distribution does not average to the prior")
+        total = sum([m[t] * v for m, v in zip(masses, vnums)])
+        out.append(rat(total * pden, den * vden * pt))
     return tuple(out)
 
 

@@ -115,6 +115,27 @@ def test_mechanism_rejects_delta_one(capsys):
     assert "delta" in err
 
 
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        ("2", "delta must lie strictly between 0 and 1, got 2"),
+        ("x", "bad delta: cannot parse rational literal 'x'"),
+    ],
+)
+def test_mechanism_bad_delta_is_a_validation_error(capsys, delta, message):
+    code, out, err = run(capsys, "mechanism", GAMES / "salesman.json", "--delta", delta)
+    assert (code, out, err) == (3, "", f"validation error: {message}\n")
+    # the delta is checked before the game file is even read
+    code, out, err = run(capsys, "mechanism", GAMES / "missing.json", "--delta", delta)
+    assert (code, out, err) == (3, "", f"validation error: {message}\n")
+
+
+def test_mechanism_refuses_direct_pieces(capsys):
+    code, out, err = run(capsys, "mechanism", GAMES / "abstract_pieces.json", "--delta", "1/10")
+    assert (code, out) == (3, "")
+    assert err == "validation error: mechanism construction needs an explicit game, not direct pieces\n"
+
+
 def test_sweep_matches_closed_forms(capsys):
     code, out, _ = run(
         capsys, "sweep", GAMES / "salesman.json", "--steps", "20", "--budget", "1",
@@ -338,6 +359,55 @@ def test_certificate_error_survives_optimize(tmp_path):
         "certificate error: simplex dual multipliers are infeasible",
         "certificate error: decomposition does not re-evaluate to the value",
         "certificate error: piece regions failed to cover the simplex",
+    ]
+
+
+def test_corrupted_integer_read_back_is_refused(tmp_path):
+    # Negative controls for the integer read-back, under ``python -O``: one
+    # numerator moved by one in the simplex's primal point, in its dual
+    # multipliers, or in an envelope atom's block sums must fail an exact
+    # check, so the CLI exits 6 instead of printing a value.
+    script = tmp_path / "corrupt.py"
+    salesman = str(GAMES / "salesman.json")
+    script.write_text(
+        "import sys\n"
+        "import medburn.envelopes as envelopes\n"
+        "import medburn.lp as lp\n"
+        "from medburn.cli import EXIT_CERTIFICATE, main\n"
+        "from medburn.rational import ScaledVector\n"
+        "assert False, 'assert statements are live: this run does not test -O'\n"
+        "def bump(v):\n"
+        "    return ScaledVector((v.nums[0] + 1,) + v.nums[1:], v.den)\n"
+        "read_primal, read_duals = lp._Tableau._read_primal, lp._Tableau._read_duals\n"
+        "parts = envelopes._parts\n"
+        "def bumped_parts(*args):\n"
+        "    got = parts(*args)\n"
+        "    got[0] = got[0]._replace(z=(got[0].z[0] + 1,) + got[0].z[1:])\n"
+        "    return got\n"
+        "lp._Tableau._read_primal = lambda self: bump(read_primal(self))\n"
+        f"codes = [main(['values', {salesman!r}])]\n"
+        "lp._Tableau._read_primal = read_primal\n"
+        "lp._Tableau._read_duals = lambda self, phase1: bump(read_duals(self, phase1))\n"
+        f"codes.append(main(['values', {salesman!r}]))\n"
+        "lp._Tableau._read_duals = read_duals\n"
+        "envelopes._parts = bumped_parts\n"
+        f"codes.append(main(['values', {salesman!r}]))\n"
+        "envelopes._parts = parts\n"
+        f"codes.append(main(['values', {salesman!r}]))\n"
+        "print('exit', *codes)\n"
+        "sys.exit(0 if codes == [EXIT_CERTIFICATE] * 3 + [0] else 1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "exit 6 6 6 0" in proc.stdout
+    assert proc.stderr.splitlines() == [
+        "certificate error: simplex primal point is infeasible",
+        "certificate error: strong duality violated",
+        "certificate error: decomposition is not Bayes-plausible",
     ]
 
 

@@ -175,3 +175,30 @@ def test_full_and_reduced_piece_sets_agree():
             )
         checked += 1
     assert checked >= 8
+
+
+def test_caratheodory_reduction_on_integer_atoms():
+    # No envelope LP of the suite returns more than |types| + 1 atoms, so the
+    # reduction is driven directly: a constant value, and four atoms of
+    # weight 1/4 at (0, 1), (1/4, 3/4), (3/4, 1/4) and (1, 0), as block sums
+    # over 16.
+    from medburn import envelopes
+    from medburn.geometry import Polytope
+    from medburn.lp import CertificateError
+
+    piece = ValuePiece(Polytope.on_simplex(2), rat(1), rat(1))
+    structure = PiecewiseValueStructure((piece,), Belief(["1/2", "1/2"]))
+    lam = SubjectivePrior.from_belief(structure.prior)
+    parts = [envelopes._Part(z, 0, "max", rat(1)) for z in ((0, 4), (1, 3), (3, 1), (4, 0))]
+    beliefs = {(rat(z[0], 4), rat(z[1], 4)) for z, *_ in parts}
+    kept, den = envelopes._caratheodory_reduce(structure, lam, parts, 16, rat(1))
+    assert 1 <= len(kept) <= 3
+    envelopes._check_split(structure, lam, kept, den, rat(1))
+    atoms = envelopes._atoms(kept, den)
+    assert {a.belief.weights for a in atoms} <= beliefs
+    assert sum(a.weight for a in atoms) == 1
+    assert all(sum(a.weight * a.belief[t] for a in atoms) == rat(1, 2) for t in range(2))
+    # one block sum moved by one no longer averages to the prior
+    moved = [kept[0]._replace(z=(kept[0].z[0] + 1,) + kept[0].z[1:])] + kept[1:]
+    with pytest.raises(CertificateError, match="Bayes-plausible"):
+        envelopes._check_split(structure, lam, moved, den, rat(1))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from medburn import Belief, rat, validate_game
@@ -176,7 +178,14 @@ def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
         homogenized = [
             (tuple(c - rhs for c in coeffs), relation) for coeffs, relation, rhs in region.rows
         ]
-        kept = region.cone_rows
+        # the integer rows, read back as dense rationals over each row's denominator
+        kept = tuple(
+            (tuple(rat(dict(pairs).get(t, 0), den) for t in range(n)), relation)
+            for pairs, relation, rhs, den in region.cone_rows
+        )
+        for (pairs, _, rhs, den), (coeffs, _) in zip(region.cone_rows, kept):
+            assert rhs == 0 and all(v for _, v in pairs)
+            assert den == math.lcm(*[c.denominator for c in coeffs])
         assert not any(_implied_by_signs(*row) for row in kept)
         assert kept == tuple(row for row in homogenized if not _implied_by_signs(*row))
         # a compiled region stores exactly its |A| - 1 best-response rows

@@ -25,7 +25,7 @@ from medburn.lp import (
     primal_feasible,
     solve,
 )
-from medburn.rational import ONE, ZERO, Rational, format_fraction, rat
+from medburn.rational import ONE, ZERO, Rational, ScaledVector, format_fraction, rat
 
 PINNED_VERTEX_DIGEST = "387f665eec5e11fc15b6f5c722bfa21b37d587e63a173bbcecc51ff64ccc6cdd"
 
@@ -478,3 +478,44 @@ def test_sign_rules_alone_reject_multipliers():
     lp = LinearProgram("max", [("x", FREE)], {}, rows)
     assert farkas_valid(lp, [-ONE, -ONE, ZERO])
     assert not farkas_valid(lp, [-ONE, ZERO, ONE])
+
+
+def test_integer_read_back_matches_its_rationals():
+    # A program handed over on integers is the same program; the answer is
+    # checked on integers, and each check gives the rational vectors' verdict.
+    for lp, sol in _checked_corpus():
+        again = LinearProgram.on_integers(lp.sense, lp.variables, dict(lp.objective), lp.int_rows)
+        assert again == lp and again.constraints == lp.constraints
+        assert solve(again) == sol
+        if sol.status != OPTIMAL:
+            assert sol.primal_scaled is None and sol.primal is None and sol.dual is None
+            continue
+        x, y = sol.primal_scaled, sol.dual_scaled
+        assert x.den > 0 and y.den > 0
+        assert sol.primal == x.rationals() and sol.dual == y.rationals()
+        assert lp.objective_value(x) == lp.objective_value(sol.primal) == sol.value
+        assert dual_objective(lp, y) == dual_objective(lp, sol.dual) == sol.value
+        # the primal point is over the least common denominator of its coordinates
+        assert x.den == math.lcm(*[v.denominator for v in sol.primal])
+        for i in range(len(y.nums)):
+            moved = ScaledVector(y.nums[:i] + (y.nums[i] + 1,) + y.nums[i + 1 :], y.den)
+            assert dual_feasible(lp, moved) == dual_feasible(lp, moved.rationals())
+        for j in range(len(x.nums)):
+            moved = ScaledVector(x.nums[:j] + (x.nums[j] - 1,) + x.nums[j + 1 :], x.den)
+            assert primal_feasible(lp, moved) == _primal_reference(lp, moved.rationals())
+
+
+def test_integer_rows_are_validated():
+    variables = [("x", NONNEG), ("y", NONNEG)]
+    good = (((0, 1), (1, 2)), LE, 3, 1)
+    assert LinearProgram.on_integers("max", variables, {0: 1}, [good]).constraints == (
+        (((0, ONE), (1, rat(2))), LE, rat(3)),
+    )
+    for bad in (
+        (((0, 1), (2, 1)), LE, 3, 1),  # undeclared variable
+        (((-1, 1),), LE, 3, 1),
+        (((0, 1),), "<", 3, 1),  # unknown relation
+        (((0, 1),), LE, 3, 0),  # no denominator
+    ):
+        with pytest.raises(MalformedProgram):
+            LinearProgram.on_integers("max", variables, {0: 1}, [good, bad])

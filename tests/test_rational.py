@@ -17,6 +17,17 @@ def test_parse_forms():
     assert rat(6, 8) == Fraction(3, 4)
 
 
+def test_fraction_passes_through_and_other_forms_convert():
+    q = Fraction(6, 8)
+    assert rat(q) is q
+    for value, expected in ((3, Fraction(3)), (-4, Fraction(-4)), ("-7/3", Fraction(-7, 3)),
+                            (" 12/8 ", Fraction(3, 2)), ("0.25", Fraction(1, 4)),
+                            ("-1.5", Fraction(-3, 2))):
+        got = rat(value)
+        assert type(got) is Fraction and got == expected
+    assert rat(q, 3) == Fraction(1, 4) and rat(q, 3) is not q
+
+
 def test_lowest_terms_and_sign():
     q = rat(6, -8)
     assert int(q.numerator) == -3
