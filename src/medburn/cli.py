@@ -5,6 +5,10 @@ exact decimal strings; floats are parsed digit-exactly, never through binary
 floating point.  A file carries either a full game (types, actions, u, v,
 prior) or a ``direct_pieces`` value structure over the same prior, plus an
 optional ``expected`` block of protocol values that ``verify`` re-checks.
+Direct pieces must cover the belief simplex, and only part of that is
+checked: ``values`` and ``sweep`` check that some piece holds each prior
+they solve at, and ``verify`` on at most three types also reports the first
+grid point of its oracle that no piece holds.  Both are validation errors.
 
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 unsupported sweep
 dimension, 5 verification violation, 6 an exact certificate check failed.

@@ -1,7 +1,10 @@
 """Exact linear programming over rationals with certified answers.
 
-Two-phase tableau simplex with Bland's anti-cycling rule.  A program is
-stored on integers: ``int_rows`` holds each constraint row's numerators over
+Two-phase simplex with Bland's anti-cycling rule on a condensed tableau:
+only the nonbasic columns are stored, since a basic column is a unit vector.
+The stored entries are those of the full-width tableau, and Bland's rule
+reads nothing else, so it takes the same pivots on fewer cells.  A program
+is stored on integers: ``int_rows`` holds each constraint row's numerators over
 its least common denominator, derived once when the program is built from
 rational rows, or handed over as they are by ``LinearProgram.on_integers``;
 ``constraints``, the rows as rationals, is built only when read.  The
@@ -21,8 +24,9 @@ answer.  An ``infeasible`` answer carries a Farkas combination of the rows,
 checked the same way.  A failed check raises ``CertificateError`` in every
 interpreter mode.  There are no tolerances.
 
-Scale target is desk-sized instances (up to a few hundred variables); no
-attempt is made at sparse factorizations or revised-simplex bookkeeping.
+Scale target is desk-sized instances (up to a few hundred variables); the
+rows stay dense over the nonbasic columns, with no sparse factorization of
+the basis.
 """
 
 from __future__ import annotations
@@ -334,16 +338,26 @@ def _eliminate(
 
 
 class _Tableau:
-    """Dense two-phase simplex working state.
+    """Condensed two-phase simplex working state: only nonbasic columns are stored.
 
-    Row ``i`` holds the rationals ``rows[i][k] / dens[i]``: Python ints over
-    one positive denominator per row.  Either ``dens[i]`` has at most
-    ``REDUCE_BITS`` bits, or it is the least common denominator of the
-    row's entries: below the bound a row may share a factor with its
+    A basic column is a unit vector, so it is left implicit (Tucker's
+    condensed tableau, the dictionary form of Chvatal 1983).  Slot ``k`` of
+    every row, and of the objective row, holds column ``slot_col[k]``; the
+    last entry is the rhs.  Row ``i`` holds the rationals
+    ``rows[i][k] / dens[i]``: Python ints over one positive denominator per
+    row, and its basic column ``basis[i]`` is one.  Either ``dens[i]`` has
+    at most ``REDUCE_BITS`` bits, or it is the least common denominator of
+    the row's entries: below the bound a row may share a factor with its
     denominator.  The objective row is ``objrow[k] / objden`` in the same
-    form.  Signs and ratio-test comparisons read the numerators of
-    one row at a time, so a common factor changes no decision.  The answer
-    is read back on integers too (``_read_primal``, ``_read_duals``).
+    form.  Signs and ratio-test comparisons read the numerators of one row
+    at a time, so a common factor changes no decision.  The answer is read
+    back on integers too (``_read_primal``, ``_read_duals``).
+
+    The stored entries are the full-width tableau's nonbasic entries, number
+    for number, and the basic entries it drops are one in their own row and
+    zero elsewhere, objective row included.  So Bland's rule, which reads
+    only negative reduced costs, column indices and ratios, makes the same
+    pivots as on the full tableau.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -364,7 +378,7 @@ class _Tableau:
         # form, and "<=" or "=" rows with a negative rhs are negated.
         m = len(lp.int_rows)
         self.row_scale: list[int] = []  # sign that standardized row i
-        kinds: list[str] = []  # "slack" (kept <=) | "tight" (>= or =, rhs >= 0)
+        slack: list[bool] = []  # kept "<=" (else ">=" or "=", rhs >= 0)
         for _, relation, b, _ in lp.int_rows:
             scale = 1
             if relation == GE:
@@ -374,49 +388,46 @@ class _Tableau:
             if relation == EQ and b < 0:
                 scale = -scale
             self.row_scale.append(scale)
-            kinds.append("slack" if relation == LE else "tight")
+            slack.append(relation == LE)
 
         # One slack or surplus column per original inequality, then one
-        # artificial column per row that lacks an identity column.
+        # artificial column per row that lacks an identity column.  A slack
+        # row starts basic in its slack, any other row in its artificial.
         col = self.n_struct
         aux_of_row: list[int | None] = [None] * m
         for i, (_, relation, _, _) in enumerate(lp.int_rows):
             if relation != EQ:
                 aux_of_row[i] = col
                 col += 1
-        art_of_row: list[int | None] = [None] * m
-        for i, kind in enumerate(kinds):
-            if kind != "slack":
-                art_of_row[i] = col
+        self.id_col: list[int] = []  # original row -> its identity column
+        for i in range(m):
+            if slack[i]:
+                self.id_col.append(aux_of_row[i])
+            else:
+                self.id_col.append(col)
                 col += 1
         self.ncols = col
-        self.artificial_cols = {c for c in art_of_row if c is not None}
+        self.artificial_cols = {c for i, c in enumerate(self.id_col) if not slack[i]}
+        self.basis: list[int] = self.id_col[:]
+        idents = set(self.id_col)
+        self.slot_col: list[int] = [c for c in range(col) if c not in idents]
+        slot_of = {c: k for k, c in enumerate(self.slot_col)}
 
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        self.basis: list[int] = []
         self.row_of_orig: list[int] = list(range(m))  # tableau row -> original row
-        self.id_col: list[int] = [0] * m  # original row -> its identity column
         for i, (row, _, b, den) in enumerate(lp.int_rows):
             sign = self.row_scale[i]
-            nums = [0] * (self.ncols + 1)
+            nums = [0] * (len(self.slot_col) + 1)
+            # structural columns are never basic at the start: column j is slot j
             for j, v in row:
                 pos, neg = self.col_of_var[j]
                 nums[pos] = sign * v
                 if neg is not None:
                     nums[neg] = -sign * v
-            nums[self.ncols] = sign * b
-            aux = aux_of_row[i]
-            if aux is not None:
-                nums[aux] = den if kinds[i] == "slack" else -den
-            art = art_of_row[i]
-            if art is not None:
-                nums[art] = den
-            ident = aux if art is None else art
-            if ident is None:
-                raise CertificateError(f"row {i} has no identity column")
-            self.basis.append(ident)
-            self.id_col[i] = ident
+            nums[-1] = sign * b
+            if not slack[i] and aux_of_row[i] is not None:
+                nums[slot_of[aux_of_row[i]]] = -den  # surplus of a ">=" row
             self.rows.append(nums)
             self.dens.append(den)
         self.objrow: list[int] = []
@@ -424,50 +435,75 @@ class _Tableau:
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, r: int, c: int) -> None:
+    def _pivot(self, r: int, s: int) -> None:
+        """Column ``slot_col[s]`` enters the basis in row ``r``; the column it
+        replaces, ``basis[r]``, takes over slot ``s``."""
         # Dividing row r by its pivot entry leaves numerators ``row`` over
-        # denominator ``row[c]``, made positive and reduced to lowest terms.
+        # denominator ``p``, made positive and reduced to lowest terms.  The
+        # leaving column's entry was one, ``dens[r]`` over ``dens[r]``.
         row = self.rows[r]
-        p = row[c]
+        p = row[s]
+        row[s] = self.dens[r]
         if p < 0:
             row = [-v for v in row]
             p = -p
-        g = math.gcd(*row)
+        g = math.gcd(p, *row)
         if g > 1:
             row = [v // g for v in row]
             p //= g
         self.rows[r] = row
         self.dens[r] = p
+        # Every other row's leaving-column entry was zero: ``_eliminate`` on
+        # a zeroed slot s leaves ``-f * row[s]`` there, the new entry.
         support = [k for k, v in enumerate(row) if v]
         for i, other in enumerate(self.rows):
-            f = other[c]
+            f = other[s]
             if f and i != r:
+                other[s] = 0
                 self.rows[i], self.dens[i] = _eliminate(other, self.dens[i], row, support, p, f)
-        f = self.objrow[c]
+        f = self.objrow[s]
         if f:
+            self.objrow[s] = 0
             self.objrow, self.objden = _eliminate(self.objrow, self.objden, row, support, p, f)
-        self.basis[r] = c
+        self.basis[r], self.slot_col[s] = self.slot_col[s], self.basis[r]
 
-    def _set_objective(self, objrow: list[int], objden: int) -> None:
-        """Install the cost row ``objrow / objden`` and price out the basis."""
-        self.objrow, self.objden = objrow, objden
-        for r, b in enumerate(self.basis):
-            f = self.objrow[b]
-            if f:
-                row = self.rows[r]
-                support = [k for k, v in enumerate(row) if v]
-                self.objrow, self.objden = _eliminate(
-                    self.objrow, self.objden, row, support, self.dens[r], f
-                )
+    def _set_objective(self, cost: Sequence[int], den: int) -> None:
+        """Install the cost row ``cost[c] / den`` (one entry per column) and
+        price out the basis.
+
+        Basic columns are not stored, so the basic costs come off in one
+        combination of the rows whose basic column costs something: over the
+        lcm ``scale`` of their denominators the objective row is
+        ``c_N * scale - sum_r c[basis[r]] * (scale / dens[r]) * rows[r]``,
+        over ``den * scale``.
+        """
+        priced = [(cost[b], r) for r, b in enumerate(self.basis) if cost[b]]
+        scale = math.lcm(*[self.dens[r] for _, r in priced])
+        obj = [cost[c] * scale for c in self.slot_col]
+        obj.append(0)
+        for cb, r in priced:
+            f = cb * (scale // self.dens[r])
+            for k, v in enumerate(self.rows[r]):
+                if v:
+                    obj[k] -= f * v
+        den *= scale
+        if den.bit_length() > REDUCE_BITS:
+            g = math.gcd(den, *obj)
+            if g > 1:
+                obj = [v // g for v in obj]
+                den //= g
+        self.objrow, self.objden = obj, den
 
     def _iterate(self, banned: set[int]) -> str:
         """Bland's rule on a minimization tableau until optimal or unbounded."""
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if self.objrow[j] < 0 and j not in banned:
-                    enter = j
-                    break
+            # The entering column is the lowest-numbered one with a negative
+            # reduced cost; basic columns have none.
+            obj = self.objrow
+            enter, lowest = -1, self.ncols
+            for s, c in enumerate(self.slot_col):
+                if obj[s] < 0 and c < lowest and c not in banned:
+                    enter, lowest = s, c
             if enter < 0:
                 return OPTIMAL
             # A row's ratio rhs/a is the ratio of its numerators, the shared
@@ -477,7 +513,7 @@ class _Tableau:
             for r, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    b = row[self.ncols]
+                    b = row[-1]
                     if (
                         leave < 0
                         or b * best_a < best_b * a
@@ -493,11 +529,11 @@ class _Tableau:
     def run(self) -> LpSolution:
         lp = self.lp
         if self.artificial_cols:
-            phase1 = [int(c in self.artificial_cols) for c in range(self.ncols + 1)]
+            phase1 = [int(c in self.artificial_cols) for c in range(self.ncols)]
             self._set_objective(phase1, 1)
             if self._iterate(banned=set()) != OPTIMAL:
                 raise CertificateError("phase 1 reported an unbounded auxiliary program")
-            if self.objrow[self.ncols] != 0:
+            if self.objrow[-1] != 0:
                 farkas = self._read_duals(phase1=True)
                 if not farkas_valid(lp, farkas):
                     raise CertificateError("invalid Farkas certificate")
@@ -507,7 +543,7 @@ class _Tableau:
         # Phase 2 minimizes: a max program's costs are negated.
         pairs, cden = lp.int_objective
         flip = 1 if lp.sense == "min" else -1
-        cost = [0] * (self.ncols + 1)
+        cost = [0] * self.ncols
         for j, v in pairs:
             pos, neg = self.col_of_var[j]
             cost[pos] = flip * v
@@ -534,25 +570,24 @@ class _Tableau:
         while r < len(self.rows):
             if self.basis[r] in self.artificial_cols:
                 row = self.rows[r]
-                pivot_col = -1
-                for j in range(self.ncols):
-                    if j not in self.artificial_cols and row[j] != 0:
-                        pivot_col = j
-                        break
-                if pivot_col < 0:
+                pivot_slot, lowest = -1, self.ncols
+                for s, c in enumerate(self.slot_col):
+                    if row[s] != 0 and c < lowest and c not in self.artificial_cols:
+                        pivot_slot, lowest = s, c
+                if pivot_slot < 0:
                     del self.rows[r]
                     del self.dens[r]
                     del self.basis[r]
                     del self.row_of_orig[r]
                     continue
-                self._pivot(r, pivot_col)
+                self._pivot(r, pivot_slot)
             r += 1
 
     def _read_primal(self) -> ScaledVector:
         """The basic point over the least common denominator of its coordinates."""
         vals: dict[int, tuple[int, int]] = {}  # structural column -> value in lowest terms
         for r, b in enumerate(self.basis):
-            v = self.rows[r][self.ncols]
+            v = self.rows[r][-1]
             if v and b < self.n_struct:
                 d = self.dens[r]
                 g = math.gcd(v, d)
@@ -571,17 +606,20 @@ class _Tableau:
     def _read_duals(self, phase1: bool) -> ScaledVector:
         """Read y = (basis cost) . B^-1 off the identity columns, over ``objden``.
 
-        The identity column of row i satisfies reduced_cost = cost_col - y_i.
-        Slacks cost zero in both phases; artificials cost one in phase 1.
+        The identity column of row i satisfies reduced_cost = cost_col - y_i;
+        its reduced cost is in its slot, or zero while it is basic.  Slacks
+        cost zero in both phases; artificials cost one in phase 1.
         Multipliers for rows deleted as redundant stay zero.
         """
         objrow, objden = self.objrow, self.objden
+        slot_of = {c: s for s, c in enumerate(self.slot_col)}
         flip = -1 if not phase1 and self.lp.sense == "max" else 1
         y = [0] * len(self.lp.int_rows)
         for orig in self.row_of_orig:
             col = self.id_col[orig]
             cost = objden if phase1 and col in self.artificial_cols else 0
-            y[orig] = flip * self.row_scale[orig] * (cost - objrow[col])
+            s = slot_of.get(col)
+            y[orig] = flip * self.row_scale[orig] * (cost - (0 if s is None else objrow[s]))
         return ScaledVector(tuple(y), objden)
 
 

@@ -10,6 +10,10 @@ CORPUS_SEED = 20250810
 def random_game(rng: Random):
     n_types = rng.choice([2, 2, 3])
     n_actions = rng.choice([2, 3, 4])
+    return random_game_of_shape(rng, n_types, n_actions)
+
+
+def random_game_of_shape(rng: Random, n_types: int, n_actions: int):
     types = [f"t{i}" for i in range(n_types)]
     actions = [f"a{i}" for i in range(n_actions)]
     u = [[rng.randint(-5, 5) for _ in range(n_types)] for _ in range(n_actions)]

@@ -287,6 +287,18 @@ def test_sweep_to_an_uncovered_prior_is_a_validation_error(tmp_path, capsys):
     assert err == "validation error: no piece covers the prior (1/4, 3/4)\n"
 
 
+def test_direct_pieces_are_trusted_to_cover_the_simplex(tmp_path, capsys):
+    # A gap away from the prior goes unseen by ``values``, which solves as if
+    # the pieces covered the simplex; ``verify``'s grid reaches the uncovered
+    # vertex (0, 1) and refuses the file.
+    path = _half_covered(tmp_path, ["3/4", "1/4"])
+    code, out, err = run(capsys, "values", path, "--fractions")
+    assert (code, out, err) == (0, "CT 1\nMD 1\nMDMB 1\nBP 1\n", "")
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (3, "")
+    assert err == "validation error: no piece covers belief (0, 1)\n"
+
+
 def test_values_single_type_game(tmp_path, capsys):
     f = tmp_path / "solo.json"
     f.write_text(

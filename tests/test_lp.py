@@ -2,12 +2,15 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import medburn.lp as lp_module
+from medburn.cli import load_game_file
+from medburn.geometry import compile_pieces
 from medburn.lp import (
     EQ,
     FREE,
@@ -26,8 +29,14 @@ from medburn.lp import (
     solve,
 )
 from medburn.rational import ONE, ZERO, Rational, ScaledVector, format_fraction, rat
+from medburn.solvers import protocol_report_structure
+from random_games import random_game_of_shape
+
+GAMES = Path(__file__).resolve().parent.parent / "games"
+FIXTURES = ("salesman", "three_actions", "influencer", "abstract_pieces")
 
 PINNED_VERTEX_DIGEST = "387f665eec5e11fc15b6f5c722bfa21b37d587e63a173bbcecc51ff64ccc6cdd"
+PINNED_PIVOT_DIGEST = "e64231a2cede7e989d0a321578622e98981abd723af68a346edf293b90682032"
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
@@ -294,11 +303,8 @@ def _vertex_text(sol):
     return "|".join((sol.status, value, vec(sol.primal), vec(sol.dual), vec(sol.farkas)))
 
 
-def test_returned_vertices_are_pinned():
-    # The digest pins the exact answer Bland's rule returns on every program
-    # below: which optimal vertex, which dual, which Farkas combination.  A
-    # change of pricing may legitimately move it; such a change must update
-    # the digest knowingly, after checking that the new answers still verify.
+def _pinned_programs():
+    """Two hand-written degenerate programs and 340 seeded random ones."""
     programs = [
         LinearProgram(
             "max",
@@ -321,9 +327,49 @@ def test_returned_vertices_are_pinned():
     programs += [_random_lp(rng) for _ in range(150)]
     programs += [_random_rational_lp(rng, box=k % 2 == 0) for k in range(150)]
     programs += [dual_program(lp) for lp in programs[:40]]
-    text = "\n".join(_vertex_text(solve(lp)) for lp in programs)
+    return programs
+
+
+def test_returned_vertices_are_pinned():
+    # The digest pins the exact answer Bland's rule returns on every program
+    # below: which optimal vertex, which dual, which Farkas combination.  A
+    # change of pricing may legitimately move it; such a change must update
+    # the digest knowingly, after checking that the new answers still verify.
+    text = "\n".join(_vertex_text(solve(lp)) for lp in _pinned_programs())
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == PINNED_VERTEX_DIGEST
+
+
+def test_pivot_path_is_pinned(monkeypatch):
+    # The digest pins the basis after every pivot Bland's rule makes, on the
+    # programs of ``test_returned_vertices_are_pinned`` and on every envelope
+    # program of a protocol report with budgets 1 and 2 for the fixtures and
+    # three seeded 4x6 games.  It reads only ``basis``, so it holds for any
+    # tableau layout that keeps the pivot sequence.
+    rng = random.Random(1201)
+    structures = [load_game_file(GAMES / f"{name}.json").any_structure() for name in FIXTURES]
+    structures += [compile_pieces(random_game_of_shape(rng, 4, 6)) for _ in range(3)]
+
+    path = []
+    pivot, run = lp_module._Tableau._pivot, lp_module._Tableau.run
+
+    def recording_pivot(self, r, c):
+        pivot(self, r, c)
+        path.append(",".join(map(str, self.basis)))
+
+    def recording_run(self):
+        path.append("|")
+        return run(self)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", recording_pivot)
+    monkeypatch.setattr(lp_module._Tableau, "run", recording_run)
+    for lp in _pinned_programs():
+        solve(lp)
+    for structure in structures:
+        protocol_report_structure(structure, [1, 2])
+    assert len(path) > 2000
+    digest = hashlib.sha256("\n".join(path).encode()).hexdigest()
+    assert digest == PINNED_PIVOT_DIGEST
 
 
 def _coprime_denominators(rng, count, bits=60):

@@ -1,4 +1,7 @@
+from random import Random
+
 import pytest
+from scipy.optimize import linprog
 
 import medburn.solvers as solvers
 from medburn import Belief, PosteriorDistribution, SubjectivePrior, rat, validate_game
@@ -19,6 +22,7 @@ from medburn.solvers import (
     value_mdmb_budget,
     verify_saddle,
 )
+from random_games import random_game_of_shape
 
 
 def tau_star():
@@ -211,3 +215,67 @@ def test_protocol_report_solves_each_distinct_cap_once(salesman, monkeypatch):
     assert (md_cap, zero_cap, two_cap) == (0, 0, 2)
     assert zero_cert is md_cert
     assert report.budgeted == ((0, report.md), (2, rat(1, 5)))
+
+
+def _obedient_program(u, v, prior, worst_type: bool):
+    """BP, or MDMB with ``worst_type``, as a float LP over ``x[t][a] >= 0``.
+
+    Built from ``u``, ``v`` and the prior alone: ``x[t][a]`` is the joint
+    mass of type ``t`` and recommendation ``a``, each type's masses sum to
+    its prior, and every recommendation is obeyed.  BP maximises the
+    sender's expected value; MDMB adds a free ``eta`` below every type's
+    conditional value and maximises it.
+    """
+    n_actions, n_types = len(u), len(prior)
+    n = n_types * n_actions + worst_type
+    col = lambda t, a: t * n_actions + a  # noqa: E731
+    a_eq, b_eq = [], []
+    for t in range(n_types):
+        row = [0.0] * n
+        for a in range(n_actions):
+            row[col(t, a)] = 1.0
+        a_eq.append(row)
+        b_eq.append(prior[t])
+    a_ub, b_ub = [], []
+    for a in range(n_actions):
+        for b in range(n_actions):
+            if a != b:
+                row = [0.0] * n
+                for t in range(n_types):
+                    row[col(t, a)] = -(u[a][t] - u[b][t])
+                a_ub.append(row)
+                b_ub.append(0.0)
+    cost = [0.0] * n
+    if worst_type:
+        for t in range(n_types):
+            row = [0.0] * n
+            row[-1] = 1.0
+            for a in range(n_actions):
+                row[col(t, a)] = -v[a] / prior[t]
+            a_ub.append(row)
+            b_ub.append(0.0)
+        cost[-1] = -1.0
+    else:
+        for t in range(n_types):
+            for a in range(n_actions):
+                cost[col(t, a)] = -v[a]
+    bounds = [(0, None)] * (n_types * n_actions) + [(None, None)] * worst_type
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (4, 8), (5, 8), (6, 8)], ids="{0[0]}x{0[1]}".format)
+def test_bp_and_mdmb_agree_with_an_independent_float_program(shape):
+    # Past three types the grid oracle cannot audit the values; an obedience
+    # program solved in floating point by HiGHS checks BP and MDMB instead.
+    n_types, n_actions = shape
+    rng = Random(f"float-check-{n_types}x{n_actions}")
+    for _ in range(4):
+        game = random_game_of_shape(rng, n_types, n_actions)
+        u = [[float(x) for x in row] for row in game.u]
+        v = [float(x) for x in game.v]
+        prior = [float(p) for p in game.prior.weights]
+        for exact, worst_type in ((value_bp(game), False), (value_mdmb(game)[0], True)):
+            ref = _obedient_program(u, v, prior, worst_type)
+            assert abs(float(exact) - ref) <= 1e-7 * max(1.0, abs(ref)), (game, worst_type)
