@@ -15,6 +15,11 @@ reweightings range over the affine hull.  Offering both branches as separate
 blocks at the same region realizes the pointwise max exactly, because
 concavification already maximizes over decompositions.
 
+Every program starts at the prior's piece: all the prior's mass on the
+``max`` block of a piece that holds the prior is feasible, so the simplex
+is handed that basis and skips phase 1.  A structure with no piece at the
+prior is refused.
+
 The programs are assembled on integers (mass rows from the prior, each
 piece's ``cone_rows`` shifted to its blocks) and their answers are read on
 integers: atoms come from the block sums of the optimal point, and the
@@ -137,6 +142,23 @@ def _cone_blocks(
     return variables, tuple(mass), tuple(cone)
 
 
+def _prior_start(
+    structure: PiecewiseValueStructure, blocks: list[tuple[int, str, Rational]]
+) -> list[tuple[int, int]]:
+    """Pivots to a feasible basis: all the prior's mass on one block.
+
+    The block is the ``max`` branch of the first piece, among those holding
+    the prior, with the largest ``vmax``; ``z{b}_{t}`` enters mass row ``t``.
+    """
+    held = structure.pieces_at(structure.prior)
+    if not held:
+        raise ValueError(f"no piece covers the prior {structure.prior}")
+    k = max(held, key=lambda i: structure.pieces[i].vmax)
+    b = blocks.index((k, MAX_BRANCH, structure.pieces[k].vmax))
+    n = structure.dim
+    return [(b * n + t, t) for t in range(n)]
+
+
 class _Part(NamedTuple):
     """One atom of a split on integers: ``z / den`` is its weight times its
     belief, for the ``den`` the split is over."""
@@ -247,7 +269,7 @@ def concavify_weighted(
                 objective[b * n + t] = coeff * ratios[t]
     variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
     lp = LinearProgram.on_integers("max", variables, objective, mass + cone)
-    sol = solve(lp)
+    sol = solve(lp, _prior_start(structure, blocks))
     if sol.status != OPTIMAL:
         raise CertificateError(f"envelope LP came back {sol.status}")
     parts = _parts(structure, blocks, sol.primal_scaled)
@@ -350,7 +372,8 @@ def worst_prior_envelope(
         payoff.append((tuple([(j, v // g) for j, v in row]), relation, 0, den // g))
 
     lp = LinearProgram.on_integers("max", variables, {eta: ONE}, mass + tuple(payoff) + cone)
-    sol = solve(lp)
+    # eta enters payoff row 0, the first row after the mass rows
+    sol = solve(lp, _prior_start(structure, blocks) + [(eta, n)])
     if sol.status != OPTIMAL:
         raise CertificateError(f"worst-prior LP came back {sol.status}")
     y = sol.dual_scaled

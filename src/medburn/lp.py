@@ -13,6 +13,13 @@ row by integer cross-multiplication (integer-preserving elimination in the
 style of Edmonds 1967 and Bareiss 1968) and divides out the gcd of the row
 and its denominator only once the denominator passes ``REDUCE_BITS`` bits.
 
+A caller that knows a feasible point can hand ``solve`` a *start*: the
+pivots that reach its basis (a crash basis, Bixby 1992).  The solver pivots
+it in, refuses it unless every basic value is nonnegative and every
+artificial zero, drives the zero-level artificials out and goes straight to
+phase 2.  The envelope programs always pass one; every other program gets
+phase 1.
+
 An ``optimal`` answer is read back as integers: the primal point over the
 least common denominator of its basic values, the dual multipliers over the
 objective row's denominator.  The solver checks them on those integers:
@@ -360,8 +367,9 @@ class _Tableau:
     pivots as on the full tableau.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, start: Sequence[tuple[int, int]] = ()):
         self.lp = lp
+        self.start = tuple(start)
         # Structural columns: nonneg -> one column, free -> plus/minus pair.
         self.col_of_var: list[tuple[int, int | None]] = []
         ncols = 0
@@ -430,7 +438,8 @@ class _Tableau:
                 nums[slot_of[aux_of_row[i]]] = -den  # surplus of a ">=" row
             self.rows.append(nums)
             self.dens.append(den)
-        self.objrow: list[int] = []
+        # no objective until a phase sets one; a start pivots a zero row along
+        self.objrow: list[int] = [0] * (len(self.slot_col) + 1)
         self.objden = 1
 
     # -- pivoting ---------------------------------------------------------
@@ -528,7 +537,9 @@ class _Tableau:
 
     def run(self) -> LpSolution:
         lp = self.lp
-        if self.artificial_cols:
+        if self.start:
+            self._enter_start()
+        elif self.artificial_cols:
             phase1 = [int(c in self.artificial_cols) for c in range(self.ncols)]
             self._set_objective(phase1, 1)
             if self._iterate(banned=set()) != OPTIMAL:
@@ -563,6 +574,30 @@ class _Tableau:
         if dual_objective(lp, y) != value:
             raise CertificateError("strong duality violated")
         return LpSolution(OPTIMAL, value, x, y)
+
+    def _enter_start(self) -> None:
+        """Pivot the start in, refuse it unless its basis is feasible, then
+        drive out the artificials it leaves basic at level zero.
+
+        Variable ``j`` enters in row ``i``, the original row: no row is
+        deleted before the purge.  A free variable enters in the half whose
+        value comes out nonnegative.
+        """
+        for j, i in self.start:
+            row = self.rows[i]
+            pos, neg = self.col_of_var[j]
+            if pos not in self.slot_col:
+                raise CertificateError(f"start enters basic variable {j}")
+            s = self.slot_col.index(pos)
+            if neg is not None and row[s] * row[-1] < 0:
+                s = self.slot_col.index(neg)
+            if row[s] == 0:
+                raise CertificateError(f"start pivots on a zero entry in row {i}")
+            self._pivot(i, s)
+        for row, b in zip(self.rows, self.basis):
+            if row[-1] < 0 or row[-1] > 0 and b in self.artificial_cols:
+                raise CertificateError("start basis is infeasible")
+        self._purge_artificials()
 
     def _purge_artificials(self) -> None:
         """Drive zero-level artificials out of the basis; drop redundant rows."""
@@ -623,6 +658,14 @@ class _Tableau:
         return ScaledVector(tuple(y), objden)
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve exactly; the returned certificates verify under rational arithmetic."""
-    return _Tableau(lp).run()
+def solve(lp: LinearProgram, start: Sequence[tuple[int, int]] = ()) -> LpSolution:
+    """Solve exactly; the returned certificates verify under rational arithmetic.
+
+    ``start`` lists pivots ``(j, i)``, variable ``j`` entering in row ``i``,
+    that reach a feasible basis.  With one, phase 1 is skipped: the start is
+    pivoted in and refused with ``CertificateError`` if a basic value is
+    negative or an artificial positive.  A start only saves pivots, since
+    every answer passes the same exact checks.  Without one, phase 1 finds a
+    feasible basis or a Farkas certificate.
+    """
+    return _Tableau(lp, start).run()

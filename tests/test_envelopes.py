@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from medburn import Belief, SubjectivePrior, rat
+import medburn.envelopes as envelopes
+from medburn import Belief, SubjectivePrior, rat, validate_game
 from medburn.envelopes import (
     concavify_weighted,
     evaluate_subjective,
@@ -11,7 +18,12 @@ from medburn.envelopes import (
     subjective_weight,
     worst_prior_envelope,
 )
-from medburn.geometry import PiecewiseValueStructure, ValuePiece, compile_pieces, tie_region
+from medburn.geometry import (
+    Polytope, PiecewiseValueStructure, ValuePiece, compile_pieces, tie_region
+)
+from medburn.lp import (
+    OPTIMAL, CertificateError, dual_feasible, dual_objective, primal_feasible, solve
+)
 from medburn.oracle import GridSpec, grid_concavify, lipschitz_slack
 from random_games import game_corpus
 
@@ -182,10 +194,6 @@ def test_caratheodory_reduction_on_integer_atoms():
     # reduction is driven directly: a constant value, and four atoms of
     # weight 1/4 at (0, 1), (1/4, 3/4), (3/4, 1/4) and (1, 0), as block sums
     # over 16.
-    from medburn import envelopes
-    from medburn.geometry import Polytope
-    from medburn.lp import CertificateError
-
     piece = ValuePiece(Polytope.on_simplex(2), rat(1), rat(1))
     structure = PiecewiseValueStructure((piece,), Belief(["1/2", "1/2"]))
     lam = SubjectivePrior.from_belief(structure.prior)
@@ -202,3 +210,139 @@ def test_caratheodory_reduction_on_integer_atoms():
     moved = [kept[0]._replace(z=(kept[0].z[0] + 1,) + kept[0].z[1:])] + kept[1:]
     with pytest.raises(CertificateError, match="Bayes-plausible"):
         envelopes._check_split(structure, lam, moved, den, rat(1))
+
+
+BUDGETS = (None, rat(0), rat(1), rat(2))
+
+
+def started_programs(structure):
+    """Every worst-prior program (budgets None, 0, 1, 2) and concavify-at-prior
+    program of ``structure``, each with the start its envelope passes."""
+    programs = []
+
+    def capture(lp, start=()):
+        if start:
+            programs.append((lp, tuple(start)))
+        return solve(lp, start)
+
+    lam = SubjectivePrior.from_belief(structure.prior)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelopes, "solve", capture)
+        for budget in BUDGETS:
+            worst_prior_envelope(structure, budget)
+            cav(structure, lam, budget)
+    assert len(programs) == 2 * len(BUDGETS)
+    return programs
+
+
+def assert_start_changes_no_value(structure):
+    for lp, start in started_programs(structure):
+        started, plain = solve(lp, start), solve(lp)
+        assert started.status == plain.status == OPTIMAL
+        assert started.value == plain.value
+        for sol in (started, plain):
+            assert primal_feasible(lp, sol.primal_scaled)
+            assert dual_feasible(lp, sol.dual_scaled)
+            assert dual_objective(lp, sol.dual_scaled) == sol.value
+            assert lp.objective_value(sol.primal_scaled) == sol.value
+
+
+def test_started_programs_match_two_phase_on_the_corpus():
+    # The start only replaces phase 1: each envelope program solved from it
+    # and by plain two-phase simplex has one value, and both answers certify.
+    for game in game_corpus(30, seed=1303):
+        assert_start_changes_no_value(compile_pieces(game))
+
+
+@st.composite
+def games_up_to_six_types(draw):
+    n_types = draw(st.integers(2, 6))
+    n_actions = draw(st.integers(2, 5))
+    entry = st.integers(-5, 5)
+    u = draw(st.lists(st.lists(entry, min_size=n_types, max_size=n_types),
+                      min_size=n_actions, max_size=n_actions))
+    v = draw(st.lists(entry, min_size=n_actions, max_size=n_actions))
+    parts = draw(st.lists(st.integers(1, 6), min_size=n_types, max_size=n_types))
+    prior = [rat(p, sum(parts)) for p in parts]
+    return validate_game([f"t{i}" for i in range(n_types)], [f"a{i}" for i in range(n_actions)],
+                         u, v, prior)
+
+
+@settings(max_examples=25, deadline=None)
+@given(games_up_to_six_types())
+def test_started_programs_match_two_phase_up_to_six_types(game):
+    assert_start_changes_no_value(compile_pieces(game))
+
+
+def test_start_off_the_prior_is_refused(influencer, three_actions):
+    # Negative control: all the prior's mass on a block whose piece does not
+    # hold the prior breaks a cone row, and the solver refuses that start.
+    refused = 0
+    for game in (influencer, three_actions) + tuple(game_corpus(12, seed=1304)):
+        structure = compile_pieces(game)
+        held = structure.pieces_at(structure.prior)
+        worst_prior_programs = started_programs(structure)[::2]
+        for budget, (lp, start) in zip(BUDGETS, worst_prior_programs):
+            blocks = envelopes._blocks(structure, budget)
+            eta = start[structure.dim:]
+            for b, (k, branch, _) in enumerate(blocks):
+                if branch != envelopes.MAX_BRANCH or k in held:
+                    continue
+                wrong = [(b * structure.dim + t, t) for t in range(structure.dim)] + list(eta)
+                with pytest.raises(CertificateError, match="start basis is infeasible"):
+                    solve(lp, wrong)
+                refused += 1
+    assert refused >= 20
+
+
+def test_start_off_the_prior_is_refused_under_optimize(tmp_path):
+    # The same refusal with assert statements stripped.
+    script = tmp_path / "off_prior.py"
+    script.write_text(
+        "import sys\n"
+        "import medburn.envelopes as envelopes\n"
+        "import medburn.lp as lp\n"
+        "from medburn import validate_game\n"
+        "from medburn.geometry import compile_pieces\n"
+        "assert False, 'assert statements are live: this run does not test -O'\n"
+        "game = validate_game(['H', 'L'], ['buy', 'pass'], [[5, -5], [0, 0]], [1, 0],\n"
+        "                     ['1/4', '3/4'])\n"
+        "structure = compile_pieces(game)\n"
+        "captured = []\n"
+        "def capture(program, start=()):\n"
+        "    captured.append((program, start))\n"
+        "    return lp.solve(program, start)\n"
+        "envelopes.solve = capture\n"
+        "envelopes.worst_prior_envelope(structure, 1)\n"
+        "program, start = captured[0]\n"
+        "# 'buy' (block 0) needs H at least 1/2; only 'pass' (block 2) holds the prior\n"
+        "assert start == [(4, 0), (5, 1), (8, 2)]\n"
+        "try:\n"
+        "    lp.solve(program, [(0, 0), (1, 1), (8, 2)])\n"
+        "except lp.CertificateError as exc:\n"
+        "    print('refused:', exc)\n"
+        "else:\n"
+        "    sys.exit('a start off the prior was accepted')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "refused: start basis is infeasible\n"
+
+
+def test_structure_without_a_piece_at_the_prior_is_refused():
+    # Hand-built pieces that leave a gap at the prior: no start exists, so
+    # both envelope programs refuse the structure before solving.
+    high = ValuePiece(Polytope.on_simplex(2, [((1, 0), ">=", "1/2")]), rat(1), rat(1))
+    low = ValuePiece(Polytope.on_simplex(2, [((1, 0), "<=", "1/4")]), rat(0), rat(0))
+    structure = PiecewiseValueStructure((high, low), Belief(["1/3", "2/3"]))
+    lam = SubjectivePrior.from_belief(structure.prior)
+    for budget in BUDGETS:
+        with pytest.raises(ValueError, match="no piece covers the prior"):
+            worst_prior_envelope(structure, budget)
+        with pytest.raises(ValueError, match="no piece covers the prior"):
+            cav(structure, lam, budget)

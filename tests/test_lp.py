@@ -36,7 +36,7 @@ GAMES = Path(__file__).resolve().parent.parent / "games"
 FIXTURES = ("salesman", "three_actions", "influencer", "abstract_pieces")
 
 PINNED_VERTEX_DIGEST = "387f665eec5e11fc15b6f5c722bfa21b37d587e63a173bbcecc51ff64ccc6cdd"
-PINNED_PIVOT_DIGEST = "e64231a2cede7e989d0a321578622e98981abd723af68a346edf293b90682032"
+PINNED_PIVOT_DIGEST = "a21af2c0f8db584032ddc2371c150b90d4dc2101cbedf30a7ef7aba2faa52511"
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
@@ -345,7 +345,8 @@ def test_pivot_path_is_pinned(monkeypatch):
     # programs of ``test_returned_vertices_are_pinned`` and on every envelope
     # program of a protocol report with budgets 1 and 2 for the fixtures and
     # three seeded 4x6 games.  It reads only ``basis``, so it holds for any
-    # tableau layout that keeps the pivot sequence.
+    # tableau layout that keeps the pivot sequence.  The envelope programs'
+    # start pivots are on the path too: a change of start moves the digest.
     rng = random.Random(1201)
     structures = [load_game_file(GAMES / f"{name}.json").any_structure() for name in FIXTURES]
     structures += [compile_pieces(random_game_of_shape(rng, 4, 6)) for _ in range(3)]
@@ -370,6 +371,32 @@ def test_pivot_path_is_pinned(monkeypatch):
     assert len(path) > 2000
     digest = hashlib.sha256("\n".join(path).encode()).hexdigest()
     assert digest == PINNED_PIVOT_DIGEST
+
+
+def test_start_basis_replaces_phase_1_and_is_checked():
+    # max e over x + y = 1, e + 2x - y = 0, x <= cap: e = y - 2x peaks at 1.
+    def program(cap):
+        return LinearProgram(
+            "max",
+            [("x", NONNEG), ("y", NONNEG), ("e", FREE)],
+            {2: 1},
+            [({0: 1, 1: 1}, EQ, 1), ({0: 2, 1: -1, 2: 1}, EQ, 0), ({0: 1}, LE, cap)],
+        )
+
+    plain = solve(program(1))
+    assert plain.status == OPTIMAL and plain.value == 1
+    # y = 1 and e = 1, or x = 1 and e = -2 on the free variable's negative half
+    for start in ([(1, 0), (2, 1)], [(0, 0), (2, 1)]):
+        assert solve(program(1), start) == plain
+    # x = 1 breaks x <= 1/2: its slack would be negative
+    with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
+        solve(program(rat(1, 2)), [(0, 0), (2, 1)])
+    # e alone leaves the first row's artificial at 1
+    with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
+        solve(program(1), [(2, 1)])
+    # a variable the start already made basic cannot enter again
+    with pytest.raises(lp_module.CertificateError, match="basic variable"):
+        solve(program(1), [(1, 0), (1, 1)])
 
 
 def _coprime_denominators(rng, count, bits=60):

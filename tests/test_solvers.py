@@ -217,49 +217,55 @@ def test_protocol_report_solves_each_distinct_cap_once(salesman, monkeypatch):
     assert report.budgeted == ((0, report.md), (2, rat(1, 5)))
 
 
-def _obedient_program(u, v, prior, worst_type: bool):
-    """BP, or MDMB with ``worst_type``, as a float LP over ``x[t][a] >= 0``.
+def _obedient_program(u, v, prior, objective, burns=(0.0,)):
+    """BP, MDMB, MD or MDMB[C] as a float LP over ``x[t][m] >= 0``.
 
-    Built from ``u``, ``v`` and the prior alone: ``x[t][a]`` is the joint
-    mass of type ``t`` and recommendation ``a``, each type's masses sum to
-    its prior, and every recommendation is obeyed.  BP maximises the
-    sender's expected value; MDMB adds a free ``eta`` below every type's
-    conditional value and maximises it.
+    Built from ``u``, ``v`` and the prior alone.  A message ``m`` is a pair
+    (recommended action ``a``, burn level ``c`` in ``burns``) and pays the
+    sender ``v[a] - c``; ``x[t][m]`` is the joint mass of type ``t`` and
+    message ``m``.  Each type's masses sum to its prior and every message's
+    recommendation is obeyed.  ``objective`` "expected" (BP) maximises the
+    sender's expected value; "worst" (MDMB) adds a free ``eta`` below every
+    type's conditional payoff and "equal" (MD, and MDMB[C] with burns 0
+    and C) makes every type's conditional payoff equal ``eta``; both
+    maximise ``eta``.
     """
     n_actions, n_types = len(u), len(prior)
-    n = n_types * n_actions + worst_type
-    col = lambda t, a: t * n_actions + a  # noqa: E731
+    messages = [(a, c) for a in range(n_actions) for c in burns]
+    with_eta = objective != "expected"
+    n = n_types * len(messages) + with_eta
+    col = lambda t, m: t * len(messages) + m  # noqa: E731
     a_eq, b_eq = [], []
     for t in range(n_types):
         row = [0.0] * n
-        for a in range(n_actions):
-            row[col(t, a)] = 1.0
+        for m in range(len(messages)):
+            row[col(t, m)] = 1.0
         a_eq.append(row)
         b_eq.append(prior[t])
     a_ub, b_ub = [], []
-    for a in range(n_actions):
+    for m, (a, _) in enumerate(messages):
         for b in range(n_actions):
             if a != b:
                 row = [0.0] * n
                 for t in range(n_types):
-                    row[col(t, a)] = -(u[a][t] - u[b][t])
+                    row[col(t, m)] = -(u[a][t] - u[b][t])
                 a_ub.append(row)
                 b_ub.append(0.0)
     cost = [0.0] * n
-    if worst_type:
+    if with_eta:
         for t in range(n_types):
             row = [0.0] * n
             row[-1] = 1.0
-            for a in range(n_actions):
-                row[col(t, a)] = -v[a] / prior[t]
-            a_ub.append(row)
-            b_ub.append(0.0)
+            for m, (a, c) in enumerate(messages):
+                row[col(t, m)] = -(v[a] - c) / prior[t]
+            (a_ub if objective == "worst" else a_eq).append(row)
+            (b_ub if objective == "worst" else b_eq).append(0.0)
         cost[-1] = -1.0
     else:
         for t in range(n_types):
-            for a in range(n_actions):
-                cost[col(t, a)] = -v[a]
-    bounds = [(0, None)] * (n_types * n_actions) + [(None, None)] * worst_type
+            for m, (a, c) in enumerate(messages):
+                cost[col(t, m)] = -(v[a] - c)
+    bounds = [(0, None)] * (n - with_eta) + [(None, None)] * with_eta
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     assert res.status == 0
     return -res.fun
@@ -268,7 +274,8 @@ def _obedient_program(u, v, prior, worst_type: bool):
 @pytest.mark.parametrize("shape", [(4, 6), (4, 8), (5, 8), (6, 8)], ids="{0[0]}x{0[1]}".format)
 def test_bp_and_mdmb_agree_with_an_independent_float_program(shape):
     # Past three types the grid oracle cannot audit the values; an obedience
-    # program solved in floating point by HiGHS checks BP and MDMB instead.
+    # program solved in floating point by HiGHS checks BP, MDMB, MD and
+    # MDMB[C] for C = 1, 2 instead.
     n_types, n_actions = shape
     rng = Random(f"float-check-{n_types}x{n_actions}")
     for _ in range(4):
@@ -276,6 +283,15 @@ def test_bp_and_mdmb_agree_with_an_independent_float_program(shape):
         u = [[float(x) for x in row] for row in game.u]
         v = [float(x) for x in game.v]
         prior = [float(p) for p in game.prior.weights]
-        for exact, worst_type in ((value_bp(game), False), (value_mdmb(game)[0], True)):
-            ref = _obedient_program(u, v, prior, worst_type)
-            assert abs(float(exact) - ref) <= 1e-7 * max(1.0, abs(ref)), (game, worst_type)
+        checks = [
+            ("bp", value_bp(game), "expected", (0.0,)),
+            ("mdmb", value_mdmb(game)[0], "worst", (0.0,)),
+            ("md", value_md(game), "equal", (0.0,)),
+        ]
+        checks += [
+            (f"mdmb[C={c}]", value_mdmb_budget(game, c)[0], "equal", (0.0, float(c)))
+            for c in (1, 2)
+        ]
+        for name, exact, objective, burns in checks:
+            ref = _obedient_program(u, v, prior, objective, burns)
+            assert abs(float(exact) - ref) <= 1e-7 * max(1.0, abs(ref)), (game, name)
