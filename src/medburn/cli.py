@@ -308,7 +308,9 @@ def cmd_verify(args) -> int:
     else:
         print(f"oracle rows skipped ({structure.dim} types exceeds the grid oracle)")
 
-    verdict = verify_saddle_structure(structure, rep.certificate, None, spec.types)
+    # the structure holds only the prior's supported types
+    labels = [spec.types[t] for t in spec.prior.support()]
+    verdict = verify_saddle_structure(structure, rep.certificate, None, labels)
     if verdict.ok:
         print(f"saddle: verified at value {format_fraction(rep.mdmb)}")
     else:

@@ -159,16 +159,11 @@ class PosteriorDistribution:
         return self.mean() == prior
 
     def merged(self) -> "PosteriorDistribution":
-        """Combine atoms that share a belief."""
+        """Combine atoms that share a belief, in first-seen order."""
         grouped: dict[tuple[Rational, ...], Rational] = {}
-        order: list[tuple[Rational, ...]] = []
         for belief, weight in self.atoms:
-            key = belief.weights
-            if key not in grouped:
-                grouped[key] = ZERO
-                order.append(key)
-            grouped[key] += weight
-        return PosteriorDistribution((Belief(k), grouped[k]) for k in order)
+            grouped[belief.weights] = grouped.get(belief.weights, ZERO) + weight
+        return PosteriorDistribution((Belief(k), w) for k, w in grouped.items())
 
     def __str__(self) -> str:
         return ", ".join(f"{b} w.p. {format_fraction(w)}" for b, w in self.atoms)

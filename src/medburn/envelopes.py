@@ -26,6 +26,14 @@ integers: atoms come from the block sums of the optimal point, and the
 decomposition checks (Bayes plausibility, recombination to the value) are
 integer sums.  Beliefs, weights and reweightings become rationals once, for
 the returned result.
+
+The simplex returns a basic point, and a split is read off it as is.  A
+concavification has mass and cone rows only, so if the blocks carrying mass
+were linearly dependent, scaling each by ``1 +- eps * alpha_b`` would keep
+every row and the point would be no vertex: ``concavify_weighted`` refuses a
+split with more than |types| atoms.  The worst-prior payoff rows add |types|
+rows and ``eta``, so its split can have up to 2|types| - 1 atoms, and a ``max``
+and a ``min`` atom at one belief, which ``posterior`` merges.
 """
 
 from __future__ import annotations
@@ -59,14 +67,7 @@ class EnvelopeResult:
     def posterior(self) -> PosteriorDistribution:
         """The split as a distribution over beliefs: atoms at one belief (a
         piece's two branches, or pieces meeting there) merge into one."""
-        merged: dict[tuple[Rational, ...], list] = {}
-        for a in self.atoms:
-            entry = merged.get(a.belief.weights)
-            if entry is None:
-                merged[a.belief.weights] = [a.belief, a.weight]
-            else:
-                entry[1] += a.weight
-        return PosteriorDistribution(merged.values())
+        return PosteriorDistribution([(a.belief, a.weight) for a in self.atoms]).merged()
 
 
 def subjective_weight(
@@ -174,27 +175,20 @@ def _parts(
     blocks: list[tuple[int, str, Rational]],
     primal: ScaledVector,
 ) -> list[_Part]:
-    """The blocks that carry mass, over ``primal.den``; blocks at one belief
-    with one branch and value merge by adding their integer block sums."""
+    """The blocks that carry mass, over ``primal.den``.  A basic point has no
+    two at one belief with one value: moving mass between them keeps every row."""
     n = structure.dim
-    nums = primal.nums
-    merged: dict[tuple, _Part] = {}
+    parts = []
     for b, (k, branch, coeff) in enumerate(blocks):
-        z = nums[b * n : (b + 1) * n]
+        z = primal.nums[b * n : (b + 1) * n]
         mass = sum(z)
         if mass == 0:
             continue
         # the atom's belief is z / mass
         if not structure.pieces[k].region.contains_scaled(z, mass):
             raise CertificateError("atom left its piece")
-        g = math.gcd(*z)
-        key = (tuple([v // g for v in z]), branch, coeff)
-        part = merged.get(key)
-        if part is None:
-            merged[key] = _Part(z, k, branch, coeff)
-        else:
-            merged[key] = part._replace(z=tuple([a + c for a, c in zip(part.z, z)]))
-    return list(merged.values())
+        parts.append(_Part(z, k, branch, coeff))
+    return parts
 
 
 def _atoms(parts: list[_Part], den: int) -> tuple[DecompositionAtom, ...]:
@@ -245,7 +239,8 @@ def concavify_weighted(
     """Value and optimal split of the concavified reweighted piecewise value.
 
     ``budget`` None is unlimited burning and needs a simplex ``lam``; a
-    budget adds each piece's ``min`` branch.
+    budget adds each piece's ``min`` branch.  The split is the basic optimum
+    read as is: at most |types| atoms, or ``CertificateError``.
     """
     if budget is None:
         if not lam.in_simplex():
@@ -273,61 +268,11 @@ def concavify_weighted(
     if sol.status != OPTIMAL:
         raise CertificateError(f"envelope LP came back {sol.status}")
     parts = _parts(structure, blocks, sol.primal_scaled)
+    if len(parts) > n:
+        raise CertificateError("decomposition has more atoms than types: not basic")
     den = sol.primal_scaled.den
-    if budget is None:
-        parts, den = _caratheodory_reduce(structure, lam, parts, den, sol.value)
-        if len(parts) > n + 1:
-            raise CertificateError("max-only decomposition exceeds the Caratheodory bound")
     _check_split(structure, lam, parts, den, sol.value)
     return EnvelopeResult(sol.value, _atoms(parts, den))
-
-
-def _caratheodory_reduce(
-    structure: PiecewiseValueStructure,
-    lam: SubjectivePrior,
-    parts: list[_Part],
-    den: int,
-    value: Rational,
-) -> tuple[list[_Part], int]:
-    """Rebalance onto a basic subset: at most |types|+1 atoms carry the split.
-
-    The reweighting constraints (prior coordinates plus total objective) have
-    rank at most |types|+1, so any basic feasible reweighting of the existing
-    atoms has support that small; beliefs and branch values never move.
-    Returns the kept atoms and the denominator they are over.
-    """
-    n = structure.dim
-    if len(parts) <= n + 1:
-        return parts, den
-    masses = [sum(part.z) for part in parts]
-    beliefs = [[rat(v, m) for v in part.z] for part, m in zip(parts, masses)]
-    gains = [
-        subjective_weight(lam, structure.prior, mu) * part.value
-        for mu, part in zip(beliefs, parts)
-    ]
-    cons: list[tuple[dict, str, Rational]] = []
-    for t in range(n):
-        cons.append(({i: mu[t] for i, mu in enumerate(beliefs)}, EQ, structure.prior[t]))
-    cons.append(({i: gains[i] for i in range(len(parts))}, EQ, value))
-    lp = LinearProgram(
-        "max",
-        [(f"w{i}", NONNEG) for i in range(len(parts))],
-        {},
-        cons,
-    )
-    sol = solve(lp)
-    if sol.status != OPTIMAL:
-        raise CertificateError("reduction LP must stay feasible")
-    # atom i keeps its belief z_i / m_i at weight w_i / wden: over wden * lcm(m),
-    # its block sums are w_i * z_i * (lcm(m) / m_i)
-    w = sol.primal_scaled
-    scale = math.lcm(*masses)
-    kept = [
-        part._replace(z=tuple([wi * v * (scale // m) for v in part.z]))
-        for part, m, wi in zip(parts, masses, w.nums)
-        if wi > 0
-    ]
-    return kept, w.den * scale
 
 
 @dataclass(frozen=True)
@@ -393,7 +338,9 @@ def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:
 
     Candidate levels are the pieces' best values in decreasing order; coverage
     is one feasibility LP over the qualifying pieces' cones.  The lowest level
-    is always feasible because the regions cover the simplex.
+    is always feasible because every piece qualifies there and one of them
+    holds the prior: compiled pieces cover the simplex, and ``direct_structure``
+    and ``with_prior`` check the prior's piece when they build a structure.
     """
     _require_full_support(structure)
     pieces = structure.pieces

@@ -13,10 +13,11 @@ def random_game(rng: Random):
     return random_game_of_shape(rng, n_types, n_actions)
 
 
-def random_game_of_shape(rng: Random, n_types: int, n_actions: int):
+def random_game_of_shape(rng: Random, n_types: int, n_actions: int, u_bound: int = 5):
+    """Receiver payoffs from [-u_bound, u_bound], sender values from [-5, 5]."""
     types = [f"t{i}" for i in range(n_types)]
     actions = [f"a{i}" for i in range(n_actions)]
-    u = [[rng.randint(-5, 5) for _ in range(n_types)] for _ in range(n_actions)]
+    u = [[rng.randint(-u_bound, u_bound) for _ in range(n_types)] for _ in range(n_actions)]
     v = [rng.randint(-5, 5) for _ in range(n_actions)]
     parts = [rng.randint(1, 6) for _ in range(n_types)]
     total = sum(parts)

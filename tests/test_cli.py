@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from medburn import geometry
+from medburn import SubjectivePrior, cli, geometry
 from medburn.cli import load_game_file, main
 from medburn.rational import rat
 
@@ -372,6 +373,27 @@ def test_certificate_error_survives_optimize(tmp_path):
         "certificate error: decomposition does not re-evaluate to the value",
         "certificate error: piece regions failed to cover the simplex",
     ]
+
+
+def test_verify_names_supported_types_when_the_prior_has_a_zero(tmp_path, capsys, monkeypatch):
+    # Z has prior 0, so the structure holds only H and L: a saddle check that
+    # fails on the structure's first type must name H, not Z.
+    game = tmp_path / "zero_type.json"
+    game.write_text(json.dumps({
+        "types": ["Z", "H", "L"], "actions": ["buy", "pass"], "u": [[3, 5, -5], [0, 0, 0]],
+        "v": [1, 0], "prior": ["0", "1/4", "3/4"],
+    }))
+    report = cli.protocol_report_structure
+
+    def tampered(structure, budgets):
+        rep = report(structure, budgets)
+        cert = dataclasses.replace(rep.certificate, lambda_star=SubjectivePrior([1, 0]))
+        return dataclasses.replace(rep, certificate=cert)
+
+    monkeypatch.setattr(cli, "protocol_report_structure", tampered)
+    code, out, _ = run(capsys, "verify", game)
+    assert code == 5
+    assert "saddle: FAILED (supported type H has directional payoff 1 != value 1/3)" in out
 
 
 def test_corrupted_integer_read_back_is_refused(tmp_path):

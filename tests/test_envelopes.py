@@ -95,7 +95,7 @@ def test_result_invariants_and_caratheodory(influencer):
     s = compile_pieces(influencer)
     lam = SubjectivePrior(["1/3", "1/3", "1/3"])
     result = cav(s, lam)
-    assert len(result.atoms) <= 4  # |types| + 1
+    assert len(result.atoms) <= 3  # |types|
     total = sum((a.weight for a in result.atoms), rat(0))
     assert total == 1
     recombined = sum(
@@ -189,27 +189,91 @@ def test_full_and_reduced_piece_sets_agree():
     assert checked >= 8
 
 
-def test_caratheodory_reduction_on_integer_atoms():
-    # No envelope LP of the suite returns more than |types| + 1 atoms, so the
-    # reduction is driven directly: a constant value, and four atoms of
-    # weight 1/4 at (0, 1), (1/4, 3/4), (3/4, 1/4) and (1, 0), as block sums
-    # over 16.
-    piece = ValuePiece(Polytope.on_simplex(2), rat(1), rat(1))
-    structure = PiecewiseValueStructure((piece,), Belief(["1/2", "1/2"]))
-    lam = SubjectivePrior.from_belief(structure.prior)
-    parts = [envelopes._Part(z, 0, "max", rat(1)) for z in ((0, 4), (1, 3), (3, 1), (4, 0))]
-    beliefs = {(rat(z[0], 4), rat(z[1], 4)) for z, *_ in parts}
-    kept, den = envelopes._caratheodory_reduce(structure, lam, parts, 16, rat(1))
-    assert 1 <= len(kept) <= 3
-    envelopes._check_split(structure, lam, kept, den, rat(1))
-    atoms = envelopes._atoms(kept, den)
-    assert {a.belief.weights for a in atoms} <= beliefs
-    assert sum(a.weight for a in atoms) == 1
-    assert all(sum(a.weight * a.belief[t] for a in atoms) == rat(1, 2) for t in range(2))
-    # one block sum moved by one no longer averages to the prior
-    moved = [kept[0]._replace(z=(kept[0].z[0] + 1,) + kept[0].z[1:])] + kept[1:]
-    with pytest.raises(CertificateError, match="Bayes-plausible"):
-        envelopes._check_split(structure, lam, moved, den, rat(1))
+def test_basic_splits_are_read_off_as_is():
+    # A basic optimum needs no reduction: a concavification's atoms number at
+    # most |types| and sit at distinct beliefs, and no split, worst prior
+    # included, has two atoms at one belief with one value.  Tie pieces
+    # overlap the compiled ones, so several blocks can reach one belief.
+    at_bound = 0
+    for game in game_corpus(60, seed=4242):
+        compiled = compile_pieces(game)
+        n = compiled.dim
+        tied = PiecewiseValueStructure(compiled.pieces + tuple(tie_pieces(game)), compiled.prior)
+        lams = [SubjectivePrior.from_belief(compiled.prior)]
+        lams += [SubjectivePrior.degenerate(n, t) for t in range(n)]
+        for structure in (compiled, tied):
+            for budget in (None, rat(0), rat(1), rat(3)):
+                for lam in lams:
+                    atoms = cav(structure, lam, budget).atoms
+                    assert len(atoms) <= n
+                    assert len({a.belief.weights for a in atoms}) == len(atoms)
+                    at_bound += len(atoms) == n
+                atoms = worst_prior_envelope(structure, budget).envelope.atoms
+                assert len({(a.belief.weights, a.value) for a in atoms}) == len(atoms)
+    assert at_bound >= 20
+
+
+def halve_a_part(parts_of, n):
+    """``_parts`` that splits one part of an n-part split into two halves.
+
+    The halves sum to the part, so the split stays Bayes-plausible and still
+    re-evaluates to the value; only its atom count gives it away.
+    """
+    def halved(*args):
+        got = parts_of(*args)
+        if len(got) == n:
+            i = next(i for i, part in enumerate(got) if max(part.z) >= 2)
+            half = tuple([v // 2 for v in got[i].z])
+            rest = tuple([v - h for v, h in zip(got[i].z, half)])
+            got[i : i + 1] = [got[i]._replace(z=half), got[i]._replace(z=rest)]
+        return got
+    return halved
+
+
+def test_split_with_too_many_atoms_is_refused(salesman, monkeypatch):
+    # Negative control: the salesman's two-atom split at lam = (0, 1), with
+    # one atom halved, passes every other check but is not basic.
+    s = compile_pieces(salesman)
+    lam = SubjectivePrior([0, 1])
+    assert len(cav(s, lam).atoms) == 2
+    monkeypatch.setattr(envelopes, "_parts", halve_a_part(envelopes._parts, 2))
+    for budget in (None, rat(1)):
+        with pytest.raises(CertificateError, match="not basic"):
+            cav(s, lam, budget)
+
+
+def test_split_with_too_many_atoms_is_refused_under_optimize(tmp_path):
+    # The same refusal with assert statements stripped: the salesman's BP
+    # split, one atom halved, makes ``medburn values`` exit 6.
+    script = tmp_path / "halved.py"
+    salesman = str(Path(__file__).resolve().parent.parent / "games" / "salesman.json")
+    script.write_text(
+        "import sys\n"
+        "import medburn.envelopes as envelopes\n"
+        "from medburn.cli import EXIT_CERTIFICATE, main\n"
+        "assert False, 'assert statements are live: this run does not test -O'\n"
+        "parts = envelopes._parts\n"
+        "def halved(*args):\n"
+        "    got = parts(*args)\n"
+        "    if len(got) == 2:\n"
+        "        i = next(i for i, part in enumerate(got) if max(part.z) >= 2)\n"
+        "        half = tuple([v // 2 for v in got[i].z])\n"
+        "        rest = tuple([v - h for v, h in zip(got[i].z, half)])\n"
+        "        got[i : i + 1] = [got[i]._replace(z=half), got[i]._replace(z=rest)]\n"
+        "    return got\n"
+        "envelopes._parts = halved\n"
+        f"code = main(['values', {salesman!r}])\n"
+        "print('exit', code)\n"
+        "sys.exit(0 if code == EXIT_CERTIFICATE else 1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr == "certificate error: decomposition has more atoms than types: not basic\n"
 
 
 BUDGETS = (None, rat(0), rat(1), rat(2))

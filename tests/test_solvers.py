@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 
 import medburn.solvers as solvers
 from medburn import Belief, PosteriorDistribution, SubjectivePrior, rat, validate_game
-from medburn.geometry import compile_pieces
+from medburn.geometry import compile_pieces, is_generic
 from medburn.solvers import (
     InadmissibleValue,
     NotBinary,
@@ -22,7 +22,7 @@ from medburn.solvers import (
     value_mdmb_budget,
     verify_saddle,
 )
-from random_games import random_game_of_shape
+from random_games import random_game_of_shape, random_interior_prior
 
 
 def tau_star():
@@ -295,3 +295,58 @@ def test_bp_and_mdmb_agree_with_an_independent_float_program(shape):
         for name, exact, objective, burns in checks:
             ref = _obedient_program(u, v, prior, objective, burns)
             assert abs(float(exact) - ref) <= 1e-7 * max(1.0, abs(ref)), (game, name)
+        assert value_ct(game) == _cheap_talk_level(u, v, prior), (game, "ct")
+
+
+def _cheap_talk_level(u, v, prior):
+    """CT as the highest level of ``v`` at which HiGHS finds an obedient split.
+
+    At a level, ``x[t][a] >= 0`` is the joint mass of type ``t`` and a
+    recommended action ``a`` worth at least the level; each type's masses
+    sum to its prior and every recommendation is obeyed.  CT is a value of
+    ``v``, so the level compares exactly.
+    """
+    n_actions, n_types = len(u), len(prior)
+    for level in sorted(set(v), reverse=True):
+        allowed = [a for a in range(n_actions) if v[a] >= level]
+        n = n_types * len(allowed)
+        a_eq = [[float(j // len(allowed) == t) for j in range(n)] for t in range(n_types)]
+        a_ub = []
+        for i, a in enumerate(allowed):
+            for b in range(n_actions):
+                if b != a:
+                    row = [0.0] * n
+                    for t in range(n_types):
+                        row[t * len(allowed) + i] = -(u[a][t] - u[b][t])
+                    a_ub.append(row)
+        res = linprog([0.0] * n, A_ub=a_ub or None, b_ub=[0.0] * len(a_ub) or None,
+                      A_eq=a_eq, b_eq=prior, bounds=[(0, None)] * n, method="highs")
+        assert res.status in (0, 2)  # feasible or infeasible, nothing else
+        if res.status == 0:
+            return level
+    raise AssertionError("the lowest level holds every action, so it must be feasible")
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (5, 6), (6, 6)], ids="{0[0]}x{0[1]}".format)
+def test_burning_strictly_improves_mediation_past_three_types(shape):
+    # The paper's claim on generic games: wherever commitment is valuable
+    # (MD < BP), burning strictly helps mediation (MD < MDMB).  Receiver
+    # payoffs come from [-60, 60], as draws from [-5, 5] are rarely generic
+    # at four or more types.
+    n_types, n_actions = shape
+    rng = Random(f"headline-{n_types}x{n_actions}")
+    failing, improved = [], 0
+    for _ in range(4):
+        game = random_game_of_shape(rng, n_types, n_actions, u_bound=60)
+        assert is_generic(game).generic, game
+        for _ in range(5):
+            shifted = game.with_prior(random_interior_prior(rng, n_types))
+            md = value_md(shifted)
+            if md < value_bp(shifted):
+                if md < value_mdmb(shifted)[0]:
+                    improved += 1
+                else:
+                    failing.append((shifted.u, shifted.v, str(shifted.prior)))
+    assert not failing, failing
+    assert improved, "no sampled prior where commitment is valuable"
+    print(f"burning strictly improves mediation at {improved} of {4 * 5} priors")
