@@ -10,15 +10,24 @@ prior as the payoff rows' multipliers.
 The burning budget alone picks the program.  Without a budget (unlimited
 burning) every piece pays its best value and reweightings range over the
 simplex.  With a budget C (capped burning; C = 0 is plain mediation) each
-piece also gets a ``min`` branch paying its worst value less C, and
-reweightings range over the affine hull.  Offering both branches as separate
-blocks at the same region realizes the pointwise max exactly, because
-concavification already maximizes over decompositions.
+piece also gets a ``min`` branch paying its worst value less C, unless that
+is its best value, and reweightings range over the affine hull.  Offering
+both branches as separate blocks at the same region realizes the pointwise
+max exactly, because concavification already maximizes over
+decompositions.  A compiled piece pays one value, so mediation has ``max``
+blocks only.
 
-Every program starts at the prior's piece: all the prior's mass on the
-``max`` block of a piece that holds the prior is feasible, so the simplex
-is handed that basis and skips phase 1.  A structure with no piece at the
-prior is refused.
+A program starts at the prior's piece: all the prior's mass on the ``max``
+block of a piece that holds the prior is feasible, so the simplex is handed
+that basis and skips phase 1.  A structure with no piece at the prior is
+refused.  A worst-prior program can start from another budget's optimal
+basis instead, named by (piece, branch, coordinate), ``eta`` and row.
+Mediation's suits every cap C > 0 and unlimited burning when no ``min``
+variable is basic in it: the capped program is mediation's plus ``min``
+columns and their cone rows, and the unlimited one relaxes mediation's
+payoff equalities to ``<=``, so mediation's basic point stays feasible.
+With a basic ``min`` variable, whose coefficient moves with the budget, the
+program starts at the prior's piece.
 
 The programs are assembled on integers (mass rows from the prior, each
 piece's ``cone_rows`` shifted to its blocks) and their answers are read on
@@ -39,12 +48,16 @@ and a ``min`` atom at one belief, which ``posterior`` merges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Sequence
 
 from .core import Belief, PosteriorDistribution, SubjectivePrior
 from .geometry import PiecewiseValueStructure
-from .lp import EQ, FREE, LE, NONNEG, OPTIMAL, CertificateError, IntRows, LinearProgram, solve
+from .lp import (
+    EQ, FREE, LE, NONNEG, OPTIMAL, Basis, CertificateError, IntRows, LinearProgram, LpSolution,
+    solve,
+)
 from .rational import ONE, ZERO, Rational, RationalLike, ScaledVector, over_common_denominator, rat
 
 MAX_BRANCH = "max"
@@ -109,10 +122,12 @@ def _require_full_support(structure: PiecewiseValueStructure) -> None:
 def _blocks(
     structure: PiecewiseValueStructure, budget: Rational | None
 ) -> list[tuple[int, str, Rational]]:
+    """``(piece, branch, coefficient)`` per block: every piece's ``max``
+    branch, and with a budget its ``min`` branch unless that pays the same."""
     out = []
     for k, piece in enumerate(structure.pieces):
         out.append((k, MAX_BRANCH, piece.vmax))
-        if budget is not None:
+        if budget is not None and piece.vmin - budget != piece.vmax:
             out.append((k, MIN_BRANCH, piece.vmin - budget))
     return out
 
@@ -144,20 +159,29 @@ def _cone_blocks(
 
 
 def _prior_start(
-    structure: PiecewiseValueStructure, blocks: list[tuple[int, str, Rational]]
-) -> list[tuple[int, int]]:
-    """Pivots to a feasible basis: all the prior's mass on one block.
+    structure: PiecewiseValueStructure,
+    blocks: list[tuple[int, str, Rational]],
+    eta: int | None = None,
+) -> Basis:
+    """A feasible basis: all the prior's mass on one block.
 
     The block is the ``max`` branch of the first piece, among those holding
-    the prior, with the largest ``vmax``; ``z{b}_{t}`` enters mass row ``t``.
+    the prior, with the largest ``vmax``; ``z{b}_{t}`` is basic in mass row
+    ``t``.  A worst-prior program also makes ``eta`` basic in payoff row 0,
+    the row after the mass rows, on the half of its value, the block's.
     """
     held = structure.pieces_at(structure.prior)
     if not held:
         raise ValueError(f"no piece covers the prior {structure.prior}")
     k = max(held, key=lambda i: structure.pieces[i].vmax)
-    b = blocks.index((k, MAX_BRANCH, structure.pieces[k].vmax))
+    vmax = structure.pieces[k].vmax
+    b = blocks.index((k, MAX_BRANCH, vmax))
     n = structure.dim
-    return [(b * n + t, t) for t in range(n)]
+    variables = [(b * n + t, 1) for t in range(n)]
+    if eta is None:
+        return Basis(tuple(variables), tuple(range(n)))
+    variables.append((eta, 1 if vmax >= 0 else -1))
+    return Basis(tuple(variables), tuple(range(n + 1)))
 
 
 class _Part(NamedTuple):
@@ -275,14 +299,82 @@ def concavify_weighted(
     return EnvelopeResult(sol.value, _atoms(parts, den))
 
 
+ETA = "eta"
+
+
+class EnvelopeBasis(NamedTuple):
+    """A worst-prior program's final ``Basis`` by name instead of index, so
+    that the program of another budget can start from it.  A variable is
+    ``(piece, branch, t)``, coordinate ``t`` of that block, or ``ETA``, each
+    with its half; a row is ``("mass", t)``, ``("payoff", t)`` or
+    ``(piece, branch, r)``, the block's ``r``-th cone row."""
+
+    variables: tuple[tuple[object, int], ...]
+    rows: tuple[object, ...]
+
+
+def _worst_prior_keys(
+    structure: PiecewiseValueStructure, blocks: list[tuple[int, str, Rational]]
+) -> tuple[list, list]:
+    """The names of a worst-prior program's variables and rows, by index."""
+    n = structure.dim
+    variables = [(k, branch, t) for k, branch, _ in blocks for t in range(n)] + [ETA]
+    rows = [("mass", t) for t in range(n)] + [("payoff", t) for t in range(n)]
+    for k, branch, _ in blocks:
+        rows += [(k, branch, r) for r in range(len(structure.pieces[k].region.cone_rows))]
+    return variables, rows
+
+
+def _named_basis(
+    structure: PiecewiseValueStructure, blocks: list[tuple[int, str, Rational]], sol: LpSolution
+) -> EnvelopeBasis:
+    variables, rows = _worst_prior_keys(structure, blocks)
+    basis = sol.basis
+    return EnvelopeBasis(
+        tuple([(variables[j], half) for j, half in basis.variables]),
+        tuple([rows[i] for i in basis.rows]),
+    )
+
+
+def _start_from(
+    structure: PiecewiseValueStructure,
+    blocks: list[tuple[int, str, Rational]],
+    start: EnvelopeBasis,
+) -> Basis | None:
+    """``start`` on this program's indices, or None if a ``min``-branch
+    variable is basic in it: that branch's coefficient depends on the budget,
+    so the basic point need not stay feasible."""
+    if any(key != ETA and key[1] == MIN_BRANCH for key, _ in start.variables):
+        return None
+    variables, rows = _worst_prior_keys(structure, blocks)
+    var_index = {key: j for j, key in enumerate(variables)}
+    row_index = {key: i for i, key in enumerate(rows)}
+    return Basis(
+        tuple(sorted([(var_index[key], half) for key, half in start.variables])),
+        tuple(sorted([row_index[key] for key in start.rows])),
+    )
+
+
 @dataclass(frozen=True)
 class WorstPriorResult:
+    """The worst reweighting and its split.  ``basis``, the program's final
+    basis by name, is built the first time it is read."""
+
     lam: SubjectivePrior
     envelope: EnvelopeResult
+    read_basis: Callable[[], EnvelopeBasis] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def basis(self) -> EnvelopeBasis | None:
+        return None if self.read_basis is None else self.read_basis()
 
 
 def worst_prior_envelope(
-    structure: PiecewiseValueStructure, budget: Rational | None
+    structure: PiecewiseValueStructure,
+    budget: Rational | None,
+    start: EnvelopeBasis | None = None,
 ) -> WorstPriorResult:
     """Minimize the concavified reweighted value over reweightings.
 
@@ -293,6 +385,10 @@ def worst_prior_envelope(
     so the payoffs are forced equal.  The reweighting that attains the outer
     minimum falls out as the payoff rows' dual multipliers, and strong duality
     (checked exactly in the solver) makes both sides equal.
+
+    ``start`` is another budget's ``basis``, typically mediation's: the
+    program starts there unless a ``min``-branch variable is basic in it, and
+    at the prior's piece otherwise.
     """
     _require_full_support(structure)
     if budget is not None and budget < 0:
@@ -317,8 +413,8 @@ def worst_prior_envelope(
         payoff.append((tuple([(j, v // g) for j, v in row]), relation, 0, den // g))
 
     lp = LinearProgram.on_integers("max", variables, {eta: ONE}, mass + tuple(payoff) + cone)
-    # eta enters payoff row 0, the first row after the mass rows
-    sol = solve(lp, _prior_start(structure, blocks) + [(eta, n)])
+    basis = None if start is None else _start_from(structure, blocks, start)
+    sol = solve(lp, basis or _prior_start(structure, blocks, eta))
     if sol.status != OPTIMAL:
         raise CertificateError(f"worst-prior LP came back {sol.status}")
     y = sol.dual_scaled
@@ -330,7 +426,8 @@ def worst_prior_envelope(
     lam = SubjectivePrior([rat(v, y.den) for v in lam_nums])
     parts = _parts(structure, blocks, sol.primal_scaled)
     _check_split(structure, lam, parts, sol.primal_scaled.den, sol.value)
-    return WorstPriorResult(lam, EnvelopeResult(sol.value, _atoms(parts, sol.primal_scaled.den)))
+    envelope = EnvelopeResult(sol.value, _atoms(parts, sol.primal_scaled.den))
+    return WorstPriorResult(lam, envelope, partial(_named_basis, structure, blocks, sol))
 
 
 def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:

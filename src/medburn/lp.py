@@ -13,12 +13,18 @@ row by integer cross-multiplication (integer-preserving elimination in the
 style of Edmonds 1967 and Bareiss 1968) and divides out the gcd of the row
 and its denominator only once the denominator passes ``REDUCE_BITS`` bits.
 
-A caller that knows a feasible point can hand ``solve`` a *start*: the
-pivots that reach its basis (a crash basis, Bixby 1992).  The solver pivots
-it in, refuses it unless every basic value is nonnegative and every
-artificial zero, drives the zero-level artificials out and goes straight to
-phase 2.  The envelope programs always pass one; every other program gets
-phase 1.
+A caller that knows a feasible basis can hand ``solve`` a *start*, a
+``Basis``: the structural variables that enter it, a free one on its
+recorded half, and the rows that give up their slack or artificial to them
+(a crash basis, Bixby 1992).  The solver pairs each variable with the first
+listed row, not yet taken, that has a nonzero entry in its column, which is
+Gaussian elimination in the listed order, and pivots it in.  It refuses the
+basis unless the counts match, no variable is left without a row, every
+basic value is nonnegative and every artificial zero; then it drives the
+zero-level artificials out and goes straight to phase 2.  An ``optimal``
+answer hands back its final basis in the same form, built only when read,
+so a related program can start where this one stopped.  The envelope
+programs always pass a start; every other program gets phase 1.
 
 An ``optimal`` answer is read back as integers: the primal point over the
 least common denominator of its basic values, the dual multipliers over the
@@ -39,9 +45,9 @@ the basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .rational import Rational, RationalLike, ScaledVector, over_common_denominator, rat, scaled
 
@@ -193,18 +199,39 @@ class LinearProgram:
         return rat(total, cden * den)
 
 
+class Basis(NamedTuple):
+    """A basis by its structural part: ``variables`` lists the basic
+    variables as ``(j, half)`` pairs, ``half`` -1 for the negative half of a
+    free variable and 1 otherwise, and ``rows`` lists, in ascending order,
+    the rows none of whose own columns (slack, surplus, artificial) is
+    basic.  Every other row is basic in its slack or surplus, or in a
+    zero-level artificial.  A nonsingular basis lists as many rows as
+    variables."""
+
+    variables: tuple[tuple[int, int], ...]
+    rows: tuple[int, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """A solver answer.  ``primal`` and ``dual`` are tuples of rationals built,
     the first time they are read, from the integer vectors the solver checked,
-    ``primal_scaled`` and ``dual_scaled``.  Two answers are equal when their
-    status, value, primal, dual and Farkas vectors are."""
+    ``primal_scaled`` and ``dual_scaled``; an ``optimal`` answer's ``basis``
+    is built the first time it is read, too.  Two answers are equal when
+    their status, value, primal, dual and Farkas vectors are."""
 
     status: str
     value: Rational | None = None
     primal_scaled: ScaledVector | None = None
     dual_scaled: ScaledVector | None = None
     farkas: tuple[Rational, ...] | None = None
+    read_basis: Callable[[], Basis] | None = field(default=None, repr=False)
+
+    @cached_property
+    def basis(self) -> Basis | None:
+        """The final basis; ``None`` unless optimal.  Rows that phase 1 or the
+        start's purge deleted as redundant are not listed."""
+        return None if self.read_basis is None else self.read_basis()
 
     @cached_property
     def primal(self) -> tuple[Rational, ...] | None:
@@ -367,9 +394,9 @@ class _Tableau:
     pivots as on the full tableau.
     """
 
-    def __init__(self, lp: LinearProgram, start: Sequence[tuple[int, int]] = ()):
+    def __init__(self, lp: LinearProgram, start: Basis | None = None):
         self.lp = lp
-        self.start = tuple(start)
+        self.start = start
         # Structural columns: nonneg -> one column, free -> plus/minus pair.
         self.col_of_var: list[tuple[int, int | None]] = []
         ncols = 0
@@ -407,6 +434,7 @@ class _Tableau:
             if relation != EQ:
                 aux_of_row[i] = col
                 col += 1
+        self.aux_of_row = aux_of_row  # original row -> its slack or surplus column
         self.id_col: list[int] = []  # original row -> its identity column
         for i in range(m):
             if slack[i]:
@@ -537,7 +565,7 @@ class _Tableau:
 
     def run(self) -> LpSolution:
         lp = self.lp
-        if self.start:
+        if self.start is not None:
             self._enter_start()
         elif self.artificial_cols:
             phase1 = [int(c in self.artificial_cols) for c in range(self.ncols)]
@@ -573,26 +601,47 @@ class _Tableau:
             raise CertificateError("simplex dual multipliers are infeasible")
         if dual_objective(lp, y) != value:
             raise CertificateError("strong duality violated")
-        return LpSolution(OPTIMAL, value, x, y)
+        final = partial(
+            _final_basis, self.basis, self.row_of_orig, self.id_col, self.aux_of_row,
+            self.col_of_var,
+        )
+        return LpSolution(OPTIMAL, value, x, y, read_basis=final)
 
     def _enter_start(self) -> None:
         """Pivot the start in, refuse it unless its basis is feasible, then
         drive out the artificials it leaves basic at level zero.
 
-        Variable ``j`` enters in row ``i``, the original row: no row is
-        deleted before the purge.  A free variable enters in the half whose
-        value comes out nonnegative.
+        Rows are original rows: none is deleted before the purge.  An
+        unlisted row that has a surplus but no slack first takes its surplus
+        in place of its artificial.  Then each variable, on its half, enters
+        in the first listed row not yet taken whose entry in its column is
+        nonzero; a variable with none makes the basis singular.
         """
-        for j, i in self.start:
-            row = self.rows[i]
+        variables, rows = self.start
+        m = len(self.rows)
+        if len(rows) != len(variables):
+            raise CertificateError(f"start lists {len(rows)} rows for {len(variables)} variables")
+        if len(set(rows)) != len(rows) or any(not 0 <= i < m for i in rows):
+            raise CertificateError("start lists a row twice or one the program does not have")
+        if any(not 0 <= j < len(self.col_of_var) for j, _ in variables):
+            raise CertificateError("start lists a variable the program does not have")
+        listed = set(rows)
+        for i, aux in enumerate(self.aux_of_row):
+            if i not in listed and aux is not None and aux != self.id_col[i]:
+                self._pivot(i, self.slot_col.index(aux))
+        free = list(rows)
+        for j, half in variables:
             pos, neg = self.col_of_var[j]
-            if pos not in self.slot_col:
+            col = pos if half > 0 else neg
+            if col is None:
+                raise CertificateError(f"start enters nonnegative variable {j} negated")
+            if col not in self.slot_col:
                 raise CertificateError(f"start enters basic variable {j}")
-            s = self.slot_col.index(pos)
-            if neg is not None and row[s] * row[-1] < 0:
-                s = self.slot_col.index(neg)
-            if row[s] == 0:
-                raise CertificateError(f"start pivots on a zero entry in row {i}")
+            s = self.slot_col.index(col)
+            i = next((i for i in free if self.rows[i][s]), None)
+            if i is None:
+                raise CertificateError(f"start basis is singular at variable {j}")
+            free.remove(i)
             self._pivot(i, s)
         for row, b in zip(self.rows, self.basis):
             if row[-1] < 0 or row[-1] > 0 and b in self.artificial_cols:
@@ -658,14 +707,37 @@ class _Tableau:
         return ScaledVector(tuple(y), objden)
 
 
-def solve(lp: LinearProgram, start: Sequence[tuple[int, int]] = ()) -> LpSolution:
+def _final_basis(
+    basis: list[int],
+    row_of_orig: list[int],
+    id_col: list[int],
+    aux_of_row: list[int | None],
+    col_of_var: list[tuple[int, int | None]],
+) -> Basis:
+    """The ``Basis`` of a final tableau: its basic structural columns as
+    variables on their halves, and the kept rows none of whose own columns
+    is basic."""
+    basic = set(basis)
+    variables = []
+    for j, (pos, neg) in enumerate(col_of_var):
+        if pos in basic:
+            variables.append((j, 1))
+        elif neg in basic:
+            variables.append((j, -1))
+    rows = [i for i in row_of_orig if id_col[i] not in basic and aux_of_row[i] not in basic]
+    return Basis(tuple(variables), tuple(rows))
+
+
+def solve(lp: LinearProgram, start: Basis | None = None) -> LpSolution:
     """Solve exactly; the returned certificates verify under rational arithmetic.
 
-    ``start`` lists pivots ``(j, i)``, variable ``j`` entering in row ``i``,
-    that reach a feasible basis.  With one, phase 1 is skipped: the start is
-    pivoted in and refused with ``CertificateError`` if a basic value is
-    negative or an artificial positive.  A start only saves pivots, since
-    every answer passes the same exact checks.  Without one, phase 1 finds a
+    ``start`` is a feasible ``Basis`` to begin from, typically another
+    program's ``LpSolution.basis`` mapped onto this one.  With one, phase 1
+    is skipped: the variables are paired with the listed rows by elimination
+    and pivoted in, and the basis is refused with ``CertificateError`` if the
+    counts differ, if it is singular, or if a basic value comes out negative
+    or an artificial positive.  A start only saves pivots, since every
+    answer passes the same exact checks.  Without one, phase 1 finds a
     feasible basis or a Farkas certificate.
     """
     return _Tableau(lp, start).run()

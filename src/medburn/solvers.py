@@ -27,6 +27,7 @@ from .core import (
     restrict_to_support,
 )
 from .envelopes import (
+    EnvelopeBasis,
     WorstPriorResult,
     concavify_weighted,
     evaluate_subjective,
@@ -133,9 +134,9 @@ def _certificate(
 
 
 def value_mdmb_structure(
-    structure: PiecewiseValueStructure,
+    structure: PiecewiseValueStructure, start: EnvelopeBasis | None = None
 ) -> tuple[Rational, SaddleCertificate]:
-    cert = _certificate(structure, worst_prior_envelope(structure, None))
+    cert = _certificate(structure, worst_prior_envelope(structure, None, start))
     if min(cert.per_type_payoffs) != cert.value:
         raise CertificateError("optimal scheme's worst type payoff must equal the protocol value")
     return cert.value, cert
@@ -356,9 +357,16 @@ def protocol_report_structure(
 ) -> ProtocolReport:
     caps = [ZERO] + sorted({rat(c) for c in budgets})
     ct = value_ct_structure(structure)
-    certs = {c: value_mdmb_budget_structure(structure, c)[1] for c in dict.fromkeys(caps)}
+    # Every cap above 0 and unlimited burning start from mediation's optimal
+    # basis, which stays feasible for them unless mediation burns (see
+    # ``envelopes``).
+    md = worst_prior_envelope(structure, ZERO)
+    certs = {ZERO: _certificate(structure, md)}
+    for c in caps:
+        if c not in certs:
+            certs[c] = _certificate(structure, worst_prior_envelope(structure, c, md.basis))
     capped = tuple([(c, certs[c]) for c in caps])
-    mdmb, cert = value_mdmb_structure(structure)
+    mdmb, cert = value_mdmb_structure(structure, md.basis)
     bp = value_bp_structure(structure)
     report = ProtocolReport(ct, capped, mdmb, bp, cert)
     values = report.chain()

@@ -22,10 +22,14 @@ from medburn.geometry import (
     Polytope, PiecewiseValueStructure, ValuePiece, compile_pieces, tie_region
 )
 from medburn.lp import (
-    OPTIMAL, CertificateError, dual_feasible, dual_objective, primal_feasible, solve
+    OPTIMAL, Basis, CertificateError, dual_feasible, dual_objective, primal_feasible, solve
 )
 from medburn.oracle import GridSpec, grid_concavify, lipschitz_slack
-from random_games import game_corpus
+from medburn.solvers import (
+    protocol_report_structure, value_mdmb_budget_structure, verify_saddle_structure
+)
+from envelope_pivots import envelope_pivots
+from random_games import game_corpus, random_game_of_shape
 
 
 def cav(structure, lam, budget=None):
@@ -277,30 +281,33 @@ def test_split_with_too_many_atoms_is_refused_under_optimize(tmp_path):
 
 
 BUDGETS = (None, rat(0), rat(1), rat(2))
+CHAINED = (rat(1), rat(2), None)
 
 
 def started_programs(structure):
     """Every worst-prior program (budgets None, 0, 1, 2) and concavify-at-prior
     program of ``structure``, each with the start its envelope passes."""
-    programs = []
-
-    def capture(lp, start=()):
-        if start:
-            programs.append((lp, tuple(start)))
-        return solve(lp, start)
-
     lam = SubjectivePrior.from_belief(structure.prior)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(envelopes, "solve", capture)
+    with envelope_pivots() as programs:
         for budget in BUDGETS:
             worst_prior_envelope(structure, budget)
             cav(structure, lam, budget)
     assert len(programs) == 2 * len(BUDGETS)
-    return programs
+    return [(lp, start) for lp, start, _ in programs]
+
+
+def chained_programs(structure):
+    """The worst-prior programs of budgets 1, 2 and None handed MD's basis,
+    as ``protocol_report`` hands it, each with the start it gets."""
+    with envelope_pivots() as programs:
+        md = worst_prior_envelope(structure, rat(0))
+        for budget in CHAINED:
+            worst_prior_envelope(structure, budget, md.basis)
+    return [(lp, start) for lp, start, _ in programs[1:]]
 
 
 def assert_start_changes_no_value(structure):
-    for lp, start in started_programs(structure):
+    for lp, start in started_programs(structure) + chained_programs(structure):
         started, plain = solve(lp, start), solve(lp)
         assert started.status == plain.status == OPTIMAL
         assert started.value == plain.value
@@ -312,8 +319,9 @@ def assert_start_changes_no_value(structure):
 
 
 def test_started_programs_match_two_phase_on_the_corpus():
-    # The start only replaces phase 1: each envelope program solved from it
-    # and by plain two-phase simplex has one value, and both answers certify.
+    # A start only replaces phase 1: each envelope program solved from its
+    # prior-piece start, or from MD's basis, and by plain two-phase simplex
+    # has one value, and every answer certifies.
     for game in game_corpus(30, seed=1303):
         assert_start_changes_no_value(compile_pieces(game))
 
@@ -338,6 +346,84 @@ def test_started_programs_match_two_phase_up_to_six_types(game):
     assert_start_changes_no_value(compile_pieces(game))
 
 
+def test_chained_capped_programs_take_fewer_pivots():
+    # MD's basis is feasible for the capped programs of compiled pieces, so
+    # each starts there instead of at the prior's piece.  Over seeded 4x6
+    # and 4x8 games (626 against 1171 pivots when this test was written) the
+    # chained programs must take fewer pivots: a silent fallback to the
+    # prior-piece start would take as many.
+    chained = alone = 0
+    for shape, seed in (((4, 6), 1501), ((4, 8), 1502)):
+        rng = random.Random(seed)
+        for _ in range(6):
+            structure = compile_pieces(random_game_of_shape(rng, *shape))
+            with envelope_pivots() as programs:
+                protocol_report_structure(structure, [1, 2])
+            _, cap_1, cap_2, _ = [p for lp, _, p in programs if lp.variables[-1][0] == "eta"]
+            chained += cap_1 + cap_2
+            with envelope_pivots() as programs:
+                for budget in (rat(1), rat(2)):
+                    worst_prior_envelope(structure, budget)
+            alone += sum(p for _, _, p in programs)
+    assert chained < alone
+
+
+def burning_mediation():
+    """Direct pieces where MD burns: H's payoff from the atom at 1/2 is too
+    high, so MD sends some of H's mass to the min branch at H, worth 0."""
+    high = ValuePiece(Polytope.on_simplex(2, [((1, 0), ">=", "1/2")]), rat(0), rat(2))
+    low = ValuePiece(Polytope.on_simplex(2, [((1, 0), "<=", "1/2")]), rat(0), rat(1))
+    return PiecewiseValueStructure((high, low), Belief(["1/4", "3/4"]))
+
+
+def test_mediation_that_burns_keeps_the_prior_piece_start():
+    # Negative control: a min-branch variable is basic in MD's basis, and
+    # that branch pays vmin - C, so the basis need not suit another budget.
+    # Every chained program starts at the prior's piece instead, and still
+    # matches two-phase simplex.
+    structure = burning_mediation()
+    md = worst_prior_envelope(structure, rat(0))
+    assert md.envelope.value == rat(6, 5)
+    assert any(a.branch == envelopes.MIN_BRANCH and a.weight > 0 for a in md.envelope.atoms)
+    assert any(key[1] == envelopes.MIN_BRANCH for key, _ in md.basis.variables if key != "eta")
+    alone = {}
+    for budget in CHAINED:
+        with envelope_pivots() as programs:
+            worst_prior_envelope(structure, budget)
+        alone[budget] = programs[0][1]
+    for budget, (lp, start) in zip(CHAINED, chained_programs(structure)):
+        assert start == alone[budget]
+    assert_start_changes_no_value(structure)
+
+
+def blocks_with_every_min_branch(structure, budget):
+    """The block list from before duplicates were dropped: every piece gets a
+    min block whenever there is a budget, even one paying what its max
+    block pays."""
+    out = []
+    for k, piece in enumerate(structure.pieces):
+        out.append((k, envelopes.MAX_BRANCH, piece.vmax))
+        if budget is not None:
+            out.append((k, envelopes.MIN_BRANCH, piece.vmin - budget))
+    return out
+
+
+def test_mediation_without_duplicate_min_blocks_is_unchanged():
+    # A compiled piece pays one value (vmin == vmax), so at budget 0 its min
+    # block repeats its max block.  MD without those blocks has the same
+    # value, and both certificates pass the saddle audit.
+    for game in game_corpus(30, seed=1305):
+        structure = compile_pieces(game)
+        assert len(envelopes._blocks(structure, rat(0))) == len(structure.pieces)
+        value, cert = value_mdmb_budget_structure(structure, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(envelopes, "_blocks", blocks_with_every_min_branch)
+            old_value, old_cert = value_mdmb_budget_structure(structure, 0)
+        assert value == old_value
+        for c in (cert, old_cert):
+            assert verify_saddle_structure(structure, c, 0).ok
+
+
 def test_start_off_the_prior_is_refused(influencer, three_actions):
     # Negative control: all the prior's mass on a block whose piece does not
     # hold the prior breaks a cone row, and the solver refuses that start.
@@ -348,11 +434,12 @@ def test_start_off_the_prior_is_refused(influencer, three_actions):
         worst_prior_programs = started_programs(structure)[::2]
         for budget, (lp, start) in zip(BUDGETS, worst_prior_programs):
             blocks = envelopes._blocks(structure, budget)
-            eta = start[structure.dim:]
+            eta = start.variables[structure.dim:]
             for b, (k, branch, _) in enumerate(blocks):
                 if branch != envelopes.MAX_BRANCH or k in held:
                     continue
-                wrong = [(b * structure.dim + t, t) for t in range(structure.dim)] + list(eta)
+                block = [(b * structure.dim + t, 1) for t in range(structure.dim)]
+                wrong = Basis(tuple(block) + eta, start.rows)
                 with pytest.raises(CertificateError, match="start basis is infeasible"):
                     solve(lp, wrong)
                 refused += 1
@@ -373,16 +460,16 @@ def test_start_off_the_prior_is_refused_under_optimize(tmp_path):
         "                     ['1/4', '3/4'])\n"
         "structure = compile_pieces(game)\n"
         "captured = []\n"
-        "def capture(program, start=()):\n"
+        "def capture(program, start=None):\n"
         "    captured.append((program, start))\n"
         "    return lp.solve(program, start)\n"
         "envelopes.solve = capture\n"
         "envelopes.worst_prior_envelope(structure, 1)\n"
         "program, start = captured[0]\n"
         "# 'buy' (block 0) needs H at least 1/2; only 'pass' (block 2) holds the prior\n"
-        "assert start == [(4, 0), (5, 1), (8, 2)]\n"
+        "assert start == lp.Basis(((4, 1), (5, 1), (8, 1)), (0, 1, 2))\n"
         "try:\n"
-        "    lp.solve(program, [(0, 0), (1, 1), (8, 2)])\n"
+        "    lp.solve(program, lp.Basis(((0, 1), (1, 1), (8, 1)), (0, 1, 2)))\n"
         "except lp.CertificateError as exc:\n"
         "    print('refused:', exc)\n"
         "else:\n"
@@ -396,6 +483,51 @@ def test_start_off_the_prior_is_refused_under_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "refused: start basis is infeasible\n"
+
+
+def test_basis_from_another_prior_is_refused(salesman):
+    # Negative control: MD's basis at the salesman's prior 1/4 splits onto
+    # H = 1/2 and H = 0, which cannot average to a prior of 3/4.  Handed to
+    # the programs at that prior, it is refused, not repaired.
+    structure = compile_pieces(salesman)
+    md = worst_prior_envelope(structure, rat(0))
+    moved = structure.with_prior(Belief(["3/4", "1/4"]))
+    for budget in BUDGETS:
+        with pytest.raises(CertificateError, match="start basis is infeasible"):
+            worst_prior_envelope(moved, budget, md.basis)
+
+
+def test_basis_from_another_prior_is_refused_under_optimize(tmp_path):
+    # The same refusal with assert statements stripped.
+    script = tmp_path / "moved_prior.py"
+    script.write_text(
+        "import sys\n"
+        "from medburn import Belief, validate_game\n"
+        "from medburn.envelopes import worst_prior_envelope\n"
+        "from medburn.geometry import compile_pieces\n"
+        "from medburn.lp import CertificateError\n"
+        "assert False, 'assert statements are live: this run does not test -O'\n"
+        "game = validate_game(['H', 'L'], ['buy', 'pass'], [[5, -5], [0, 0]], [1, 0],\n"
+        "                     ['1/4', '3/4'])\n"
+        "structure = compile_pieces(game)\n"
+        "md = worst_prior_envelope(structure, 0)\n"
+        "moved = structure.with_prior(Belief(['3/4', '1/4']))\n"
+        "for budget in (0, 1, None):\n"
+        "    try:\n"
+        "        worst_prior_envelope(moved, budget, md.basis)\n"
+        "    except CertificateError as exc:\n"
+        "        print('refused:', exc)\n"
+        "    else:\n"
+        "        sys.exit('a basis from another prior was accepted')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "refused: start basis is infeasible\n" * 3
 
 
 def test_structure_without_a_piece_at_the_prior_is_refused():

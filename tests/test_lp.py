@@ -13,6 +13,7 @@ from medburn.cli import load_game_file
 from medburn.geometry import compile_pieces
 from medburn.lp import (
     EQ,
+    Basis,
     FREE,
     GE,
     INFEASIBLE,
@@ -36,7 +37,7 @@ GAMES = Path(__file__).resolve().parent.parent / "games"
 FIXTURES = ("salesman", "three_actions", "influencer", "abstract_pieces")
 
 PINNED_VERTEX_DIGEST = "387f665eec5e11fc15b6f5c722bfa21b37d587e63a173bbcecc51ff64ccc6cdd"
-PINNED_PIVOT_DIGEST = "a21af2c0f8db584032ddc2371c150b90d4dc2101cbedf30a7ef7aba2faa52511"
+PINNED_PIVOT_DIGEST = "d62968757b615fd8f4bb4f29f1d4fe76123b7efaf66b96e304dcacd12271a852"
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
@@ -344,12 +345,12 @@ def test_pivot_path_is_pinned(monkeypatch):
     # The digest pins the basis after every pivot Bland's rule makes, on the
     # programs of ``test_returned_vertices_are_pinned`` and on every envelope
     # program of a protocol report with budgets 1 and 2 for the fixtures and
-    # three seeded 4x6 games.  It reads only ``basis``, so it holds for any
+    # four seeded 4x6 games.  It reads only ``basis``, so it holds for any
     # tableau layout that keeps the pivot sequence.  The envelope programs'
     # start pivots are on the path too: a change of start moves the digest.
     rng = random.Random(1201)
     structures = [load_game_file(GAMES / f"{name}.json").any_structure() for name in FIXTURES]
-    structures += [compile_pieces(random_game_of_shape(rng, 4, 6)) for _ in range(3)]
+    structures += [compile_pieces(random_game_of_shape(rng, 4, 6)) for _ in range(4)]
 
     path = []
     pivot, run = lp_module._Tableau._pivot, lp_module._Tableau.run
@@ -385,18 +386,85 @@ def test_start_basis_replaces_phase_1_and_is_checked():
 
     plain = solve(program(1))
     assert plain.status == OPTIMAL and plain.value == 1
+    assert plain.basis == Basis(((1, 1), (2, 1)), (0, 1))
     # y = 1 and e = 1, or x = 1 and e = -2 on the free variable's negative half
-    for start in ([(1, 0), (2, 1)], [(0, 0), (2, 1)]):
+    for start in (plain.basis, Basis(((0, 1), (2, -1)), (0, 1))):
         assert solve(program(1), start) == plain
     # x = 1 breaks x <= 1/2: its slack would be negative
     with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
-        solve(program(rat(1, 2)), [(0, 0), (2, 1)])
+        solve(program(rat(1, 2)), Basis(((0, 1), (2, -1)), (0, 1)))
+    # e = -2 on its nonnegative half
+    with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
+        solve(program(1), Basis(((0, 1), (2, 1)), (0, 1)))
     # e alone leaves the first row's artificial at 1
     with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
-        solve(program(1), [(2, 1)])
+        solve(program(1), Basis(((2, 1),), (1,)))
     # a variable the start already made basic cannot enter again
     with pytest.raises(lp_module.CertificateError, match="basic variable"):
-        solve(program(1), [(1, 0), (1, 1)])
+        solve(program(1), Basis(((1, 1), (1, 1)), (0, 1)))
+    # y has no entry in the row x <= cap
+    with pytest.raises(lp_module.CertificateError, match="singular"):
+        solve(program(1), Basis(((1, 1),), (2,)))
+    # a row listed beyond the variables is refused, not paired or dropped
+    with pytest.raises(lp_module.CertificateError, match="3 rows for 2 variables"):
+        solve(program(1), Basis(plain.basis.variables, (0, 1, 2)))
+    with pytest.raises(lp_module.CertificateError, match="does not have"):
+        solve(program(1), Basis(((1, 1), (3, 1)), (0, 1)))
+    with pytest.raises(lp_module.CertificateError, match="negated"):
+        solve(program(1), Basis(((0, -1), (2, -1)), (0, 1)))
+    with pytest.raises(lp_module.CertificateError, match="row twice"):
+        solve(program(1), Basis(plain.basis.variables, (0, 0)))
+
+
+def test_optimal_basis_restarts_its_program(monkeypatch):
+    # Started from its own final basis, a program is optimal at once: phase 2
+    # makes no pivot, and the answer and its basis come back the same.  Rows
+    # that phase 1 deleted as redundant are not in the basis, so its row and
+    # variable counts match.
+    phase_2_pivots = []
+    pivot, iterate = lp_module._Tableau._pivot, lp_module._Tableau._iterate
+
+    def counting(self, r, s):
+        if phase_2_pivots:
+            phase_2_pivots[-1] += 1
+        pivot(self, r, s)
+
+    def phase(self, banned):
+        phase_2_pivots.append(0)
+        return iterate(self, banned)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", counting)
+    monkeypatch.setattr(lp_module._Tableau, "_iterate", phase)
+    restarted = 0
+    for lp, sol in _checked_corpus():
+        if sol.status != OPTIMAL:
+            assert sol.basis is None
+            continue
+        basis = sol.basis
+        assert sol.basis is basis  # built once, when first read
+        assert len(basis.rows) == len(basis.variables)
+        assert list(basis.rows) == sorted(set(basis.rows))
+        phase_2_pivots.clear()
+        again = solve(lp, basis)
+        assert phase_2_pivots == [0]
+        assert again == sol and again.basis == basis
+        restarted += 1
+    assert restarted >= 20
+
+
+def test_a_purged_row_stays_out_of_the_basis():
+    # x + y = 1 twice: phase 1 deletes the copy as redundant, so the basis
+    # lists one row for its one variable.  Listing the copy as well is
+    # refused, not paired with nothing or dropped.
+    lp = LinearProgram(
+        "max", [("x", NONNEG), ("y", NONNEG)], {0: 1, 1: 2},
+        [({0: 1, 1: 1}, EQ, 1), ({0: 1, 1: 1}, EQ, 1)],
+    )
+    sol = solve(lp)
+    assert sol.value == 2 and sol.basis == Basis(((1, 1),), (0,))
+    assert solve(lp, sol.basis) == sol
+    with pytest.raises(lp_module.CertificateError, match="2 rows for 1 variables"):
+        solve(lp, Basis(sol.basis.variables, (0, 1)))
 
 
 def _coprime_denominators(rng, count, bits=60):

@@ -194,23 +194,27 @@ def test_protocol_report_degenerate_prior(salesman):
 
 
 def test_protocol_report_solves_each_distinct_cap_once(salesman, monkeypatch):
+    # MD is solved first and without a start; every distinct cap above 0 and
+    # unlimited burning are solved once each, from MD's basis.
     solved = []
     worst_prior_envelope = solvers.worst_prior_envelope
 
-    def counting(structure, budget):
-        solved.append(budget)
-        return worst_prior_envelope(structure, budget)
+    def counting(structure, budget, start=None):
+        solved.append((budget, start))
+        return worst_prior_envelope(structure, budget, start)
 
     monkeypatch.setattr(solvers, "worst_prior_envelope", counting)
     structure = compile_pieces(salesman)
     report = protocol_report_structure(structure, [1, 1, "1/1"])
-    assert solved == [0, 1, None]
+    assert [budget for budget, _ in solved] == [0, 1, None]
+    md_start, cap_start, unlimited_start = [start for _, start in solved]
+    assert md_start is None and cap_start is not None and cap_start is unlimited_start
     assert report.budgeted == ((1, 0),)
 
     # a zero cap is mediation: its row reuses MD's certificate
     solved.clear()
     report = protocol_report_structure(structure, [2, 0])
-    assert solved == [0, 2, None]
+    assert [budget for budget, _ in solved] == [0, 2, None]
     (md_cap, md_cert), (zero_cap, zero_cert), (two_cap, _) = report.capped
     assert (md_cap, zero_cap, two_cap) == (0, 0, 2)
     assert zero_cert is md_cert
