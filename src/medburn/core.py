@@ -69,16 +69,9 @@ class Belief:
     def support(self) -> tuple[int, ...]:
         return tuple([i for i, w in enumerate(self.weights) if w > 0])
 
-    def is_degenerate_on(self, i: int) -> bool:
-        return self.weights[i] == ONE
-
     @staticmethod
     def degenerate(n: int, i: int) -> "Belief":
         return Belief([ONE if j == i else ZERO for j in range(n)])
-
-    @staticmethod
-    def uniform(n: int) -> "Belief":
-        return Belief([rat(1, n)] * n)
 
     def __str__(self) -> str:
         return "(" + ", ".join(format_fraction(w) for w in self.weights) + ")"

@@ -30,7 +30,8 @@ With a basic ``min`` variable, whose coefficient moves with the budget, the
 program starts at the prior's piece.
 
 The programs are assembled on integers (mass rows from the prior, each
-piece's ``cone_rows`` shifted to its blocks) and their answers are read on
+piece's region rows, which are homogeneous and so already cut out the cone
+over the region, shifted to its blocks) and their answers are read on
 integers: atoms come from the block sums of the optimal point, and the
 decomposition checks (Bayes plausibility, recombination to the value) are
 integer sums.  Beliefs, weights and reweightings become rationals once, for
@@ -141,8 +142,9 @@ def _cone_blocks(
     columns ``b * dim + t``.  The mass rows make the blocks sum to the prior;
     the cone rows keep each block in the cone over its piece's region.  Both
     are on integers: a mass row is the prior coordinate's denominator per
-    block over its numerator, and a block's cone rows are its piece's
-    ``cone_rows`` shifted to the block's columns.
+    block over its numerator, and a block's cone rows are its piece's region
+    ``rows`` (homogeneous, so they hold at any mass) shifted to the block's
+    columns.
     """
     n = structure.dim
     variables = [(f"z{b}_{t}", NONNEG) for b in range(len(pieces)) for t in range(n)]
@@ -153,7 +155,7 @@ def _cone_blocks(
     cone = []
     for b, k in enumerate(pieces):
         off = b * n
-        for pairs, relation, rhs, den in structure.pieces[k].region.cone_rows:
+        for pairs, relation, rhs, den in structure.pieces[k].region.rows:
             cone.append((tuple([(off + t, v) for t, v in pairs]), relation, rhs, den))
     return variables, tuple(mass), tuple(cone)
 
@@ -321,7 +323,7 @@ def _worst_prior_keys(
     variables = [(k, branch, t) for k, branch, _ in blocks for t in range(n)] + [ETA]
     rows = [("mass", t) for t in range(n)] + [("payoff", t) for t in range(n)]
     for k, branch, _ in blocks:
-        rows += [(k, branch, r) for r in range(len(structure.pieces[k].region.cone_rows))]
+        rows += [(k, branch, r) for r in range(len(structure.pieces[k].region.rows))]
     return variables, rows
 
 

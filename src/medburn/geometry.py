@@ -13,7 +13,6 @@ directly as polytopes with value intervals) plug into the same solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -26,62 +25,36 @@ from .rational import ZERO, Rational, RationalLike, over_common_denominator, rat
 
 @dataclass(frozen=True)
 class Polytope:
-    """H-representation over belief coordinates, inside the simplex.
+    """A region of the belief simplex, as homogeneous rows on integers.
 
-    ``rows`` holds only the rows that cut the region out of the simplex; the
-    simplex itself (mu >= 0, sum mu = 1) is implied, and every belief a
-    caller tests already lies on it.
+    A row ``a.mu REL b`` is stored as ``(a - b*1).z REL 0``.  On the simplex
+    (mu >= 0, sum mu = 1) the two agree, and scaling a belief by a nonnegative
+    mass keeps the homogeneous row, so ``rows`` cuts out both the region and
+    the cone over it that the envelope programs read.  The simplex itself is
+    implied and every belief a caller tests already lies on it, so rows that
+    z >= 0 already implies are dropped: a ``>=`` row with no negative
+    coefficient, a ``<=`` row with no positive coefficient, and an ``=`` row
+    that homogenizes to all zeros.  Kept rows stay in input order, in
+    ``integer_rows`` form over the coordinates ``t``.
     """
 
     dim: int
-    rows: tuple[tuple[tuple[Rational, ...], str, Rational], ...]
+    rows: IntRows
 
     @staticmethod
     def on_simplex(
         dim: int, extra: Iterable[tuple[Sequence[RationalLike], str, RationalLike]] = ()
     ) -> "Polytope":
-        rows: list[tuple[tuple[Rational, ...], str, Rational]] = []
+        kept = []
         for coeffs, relation, rhs in extra:
-            packed = tuple(rat(c) for c in coeffs)
-            if len(packed) != dim:
+            if len(coeffs) != dim:
                 raise ValueError("polytope row has wrong dimension")
             if relation not in (LE, EQ, GE):
                 raise ValueError(f"unknown relation {relation!r}")
-            rows.append((packed, relation, rat(rhs)))
-        return Polytope(dim, tuple(rows))
-
-    @cached_property
-    def int_rows(self) -> IntRows:
-        """``rows`` on integers, nonzero coefficients only, built once per polytope."""
-        return integer_rows(
-            ([(t, c) for t, c in enumerate(coeffs) if c], relation, rhs)
-            for coeffs, relation, rhs in self.rows
-        )
-
-    def contains(self, mu: Belief) -> bool:
-        return self.contains_scaled(*over_common_denominator(mu.weights))
-
-    def contains_scaled(self, point: Sequence[int], scale: int) -> bool:
-        """Whether the belief ``point[t] / scale`` (``scale > 0``) lies in the polytope."""
-        return len(point) == self.dim and rows_hold(self.int_rows, point, scale)
-
-    @cached_property
-    def cone_rows(self) -> IntRows:
-        """Homogenized rows on integers: a.mu REL b becomes (a - b*1).z REL 0.
-
-        Scaling a belief by a nonnegative mass keeps these rows valid, so they
-        cut out the cone over the polytope.  The cone's variables are
-        nonnegative, so rows that z >= 0 already implies are left out: a
-        ``>=`` row with no negative coefficient, a ``<=`` row with no positive
-        coefficient, and an ``=`` row that homogenizes to all zeros.  Built
-        once per polytope, in ``integer_rows`` form over the coordinates
-        ``t``; an envelope program shifts the indices to its block.
-        """
-        kept = []
-        for coeffs, relation, rhs in self.rows:
-            pairs = [(t, c - rhs) for t, c in enumerate(coeffs) if c != rhs]
-            negative = any(c < 0 for _, c in pairs)
-            positive = any(c > 0 for _, c in pairs)
+            b = rat(rhs)
+            pairs = [(t, h) for t, h in enumerate(rat(c) - b for c in coeffs) if h]
+            negative = any(h < 0 for _, h in pairs)
+            positive = any(h > 0 for _, h in pairs)
             if relation == GE:
                 needed = negative
             elif relation == LE:
@@ -90,14 +63,21 @@ class Polytope:
                 needed = negative or positive
             if needed:
                 kept.append((pairs, relation, ZERO))
-        return integer_rows(kept)
+        return Polytope(dim, integer_rows(kept))
+
+    def contains(self, mu: Belief) -> bool:
+        return self.contains_scaled(*over_common_denominator(mu.weights))
+
+    def contains_scaled(self, point: Sequence[int], scale: int) -> bool:
+        """Whether the belief ``point[t] / scale`` (``scale > 0``) lies in the polytope."""
+        return len(point) == self.dim and rows_hold(self.rows, point, scale)
 
     def is_empty(self) -> bool:
-        """Whether no belief satisfies the rows: one LP, the sum-to-one row then ``int_rows``."""
+        """Whether no belief satisfies the rows: one LP, the sum-to-one row then ``rows``."""
         n = self.dim
         simplex = ((tuple([(t, 1) for t in range(n)]), EQ, 1, 1),)
         variables = [(f"m{t}", NONNEG) for t in range(n)]
-        lp = LinearProgram.on_integers("max", variables, {}, simplex + self.int_rows)
+        lp = LinearProgram.on_integers("max", variables, {}, simplex + self.rows)
         return solve(lp).status != OPTIMAL
 
 

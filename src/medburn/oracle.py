@@ -85,11 +85,12 @@ def snapped_resolution(structure: PiecewiseValueStructure, target: int) -> int:
         return target
     denoms = {w.denominator for w in structure.prior.weights}
     for piece in structure.pieces:
-        for coeffs, _, rhs in piece.region.rows:
-            c0, c1 = coeffs
-            if c0 == c1:
+        for pairs, _, _, _ in piece.region.rows:
+            h = dict(pairs)
+            h0, h1 = h.get(0, 0), h.get(1, 0)
+            if h0 == h1:
                 continue
-            x = (rhs - c1) / (c0 - c1)
+            x = rat(h1, h1 - h0)  # where h0 * x + h1 * (1 - x) = 0
             if 0 <= x <= 1:
                 denoms.add(x.denominator)
     base = 1
@@ -338,8 +339,7 @@ def _front(
 def _boundary_pool(dim: int, table: _GridTable, index) -> list[int]:
     pool = [i for i in range(table.n_grid) if table.cover[i] >= 2]
     if len(pool) > _POOL_CAP:
-        step = len(pool) / _POOL_CAP
-        pool = [pool[int(i * step)] for i in range(_POOL_CAP)]
+        pool = [pool[i * len(pool) // _POOL_CAP] for i in range(_POOL_CAP)]
     scale = table.scale
     extras = [index[tuple(scale if j == t else 0 for j in range(dim))] for t in range(dim)]
     extras.append(table.prior_idx)

@@ -3,14 +3,16 @@
 Every quantity in this package is an exact rational; floats never enter any
 computation.  ``Rational`` is ``fractions.Fraction``: lowest-terms
 numerator/denominator with a positive denominator and exact ``+ - * /``.
-The LP pivot loop, its answers and certificate checks, the envelope
-programs' cone rows, atoms and decomposition checks, the saddle
-certificate's payoffs, polytope containment and the grid oracle's kernels
-work on Python integers over common denominators, built with the helpers
-below; a ``ScaledVector`` carries such a vector between them.  ``Fraction``
-still enters where games, polytope rows and the non-envelope programs are
-built, where returned values, atoms and reweightings are built once from
-those integers, and in the saddle and mechanism audits.
+The LP pivot loop, its answers and certificate checks, belief regions
+(one homogeneous integer row form per region, read by containment,
+emptiness and the envelope programs' cone blocks), atoms and decomposition
+checks, the saddle certificate's payoffs and the grid oracle's kernels work
+on Python integers over common denominators, built with the helpers below;
+a ``ScaledVector`` carries such a vector between them.  ``Fraction`` still
+enters where games and the non-envelope programs are built, where a
+region's input rows are homogenized (once, in ``Polytope.on_simplex``),
+where returned values, atoms and reweightings are built once from those
+integers, and in the saddle and mechanism audits.
 """
 
 from __future__ import annotations

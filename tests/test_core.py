@@ -81,8 +81,6 @@ def test_all_types_null_unreachable_via_validation():
 def test_belief_helpers():
     b = Belief.degenerate(3, 1)
     assert b.support() == (1,)
-    assert b.is_degenerate_on(1)
-    assert Belief.uniform(2).weights == (rat(1, 2), rat(1, 2))
 
 
 def test_subjective_prior_domains():

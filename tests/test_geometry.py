@@ -13,7 +13,7 @@ from medburn.geometry import (
     tie_region,
     value_interval,
 )
-from medburn.lp import EQ, GE, LE
+from medburn.lp import EQ, GE, LE, NONNEG, OPTIMAL, LinearProgram, solve
 from medburn.oracle import grid_beliefs
 from medburn.solvers import protocol_report
 
@@ -168,6 +168,23 @@ def _holds(coeffs, relation, mu):
     return lhs == 0
 
 
+def _best_response_rows(game, a):
+    """The rows ``tie_region`` is built from: ``(u_a - u_b) . mu >= 0`` per other action ``b``."""
+    return [
+        (tuple(game.u[a][t] - game.u[b][t] for t in range(game.n_types)), GE, rat(0))
+        for b in range(game.n_actions)
+        if b != a
+    ]
+
+
+def _dense(region):
+    """A region's integer rows, read back as dense rationals over each row's denominator."""
+    return tuple(
+        (tuple(rat(dict(pairs).get(t, 0), den) for t in range(region.dim)), relation)
+        for pairs, relation, rhs, den in region.rows
+    )
+
+
 @pytest.mark.parametrize("fixture", ["salesman", "influencer"])
 def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
     game = request.getfixturevalue(fixture)
@@ -175,31 +192,28 @@ def test_cone_rows_drop_exactly_the_sign_implied_rows(fixture, request):
     n = structure.dim
     for piece in structure.pieces:
         region = piece.region
+        (a,) = piece.actions
         homogenized = [
-            (tuple(c - rhs for c in coeffs), relation) for coeffs, relation, rhs in region.rows
+            (tuple(c - rhs for c in coeffs), relation)
+            for coeffs, relation, rhs in _best_response_rows(game, a)
         ]
-        # the integer rows, read back as dense rationals over each row's denominator
-        kept = tuple(
-            (tuple(rat(dict(pairs).get(t, 0), den) for t in range(n)), relation)
-            for pairs, relation, rhs, den in region.cone_rows
-        )
-        for (pairs, _, rhs, den), (coeffs, _) in zip(region.cone_rows, kept):
+        kept = _dense(region)
+        for (pairs, _, rhs, den), (coeffs, _) in zip(region.rows, kept):
             assert rhs == 0 and all(v for _, v in pairs)
             assert den == math.lcm(*[c.denominator for c in coeffs])
         assert not any(_implied_by_signs(*row) for row in kept)
         assert kept == tuple(row for row in homogenized if not _implied_by_signs(*row))
-        # a compiled region stores exactly its |A| - 1 best-response rows
-        assert len(region.rows) == game.n_actions - 1
-        # the cone still cuts the region out of the simplex
+        # the kept rows still cut the best-response region out of the simplex
         for mu in grid_beliefs(n, 24):
             inside = all(_holds(coeffs, relation, mu) for coeffs, relation in kept)
-            assert inside == region.contains(mu)
+            assert inside == region.contains(mu) == (a in best_responses(game, mu))
 
 
-def _contains_reference(region, mu):
-    """Containment by ``Fraction`` row sums, the exact reference."""
-    for coeffs, relation, rhs in region.rows:
-        lhs = sum((c * w for c, w in zip(coeffs, mu.weights)), rat(0))
+def _contains_reference(rows, mu):
+    """Containment by ``Fraction`` row sums over the literal rows, the exact reference."""
+    for coeffs, relation, rhs in rows:
+        lhs = sum((rat(c) * w for c, w in zip(coeffs, mu.weights)), rat(0))
+        rhs = rat(rhs)
         if (relation == LE and lhs > rhs) or (relation == GE and lhs < rhs):
             return False
         if relation == EQ and lhs != rhs:
@@ -207,19 +221,31 @@ def _contains_reference(region, mu):
     return True
 
 
+def _empty_reference(dim, rows):
+    """Emptiness by one LP over the literal ``Fraction`` rows plus the simplex."""
+    cons = [({t: 1 for t in range(dim)}, EQ, 1)]
+    cons += [(dict(enumerate(rat(c) for c in coeffs)), rel, rhs) for coeffs, rel, rhs in rows]
+    variables = [(f"m{t}", NONNEG) for t in range(dim)]
+    return solve(LinearProgram("max", variables, {}, cons)).status != OPTIMAL
+
+
 def test_integer_containment_matches_fraction_reference(influencer):
     # Two regions with an '=' row, fractional coefficients and facets through
     # grid points, plus influencer's pieces; the grid holds the vertices.
-    regions = [
-        Polytope.on_simplex(3, [([1, -1, 0], EQ, 0), (["1/3", "-2/5", "1/2"], LE, "1/5")]),
-        Polytope.on_simplex(3, [([2, 1, 0], GE, "1/2"), ([0, "3/4", -1], LE, "1/4")]),
-    ] + [p.region for p in compile_pieces(influencer).pieces]
+    literal = [
+        [([1, -1, 0], EQ, 0), (["1/3", "-2/5", "1/2"], LE, "1/5")],
+        [([2, 1, 0], GE, "1/2"), ([0, "3/4", -1], LE, "1/4")],
+    ]
+    regions = [Polytope.on_simplex(3, rows) for rows in literal]
+    for piece in compile_pieces(influencer).pieces:
+        literal.append(_best_response_rows(influencer, piece.actions[0]))
+        regions.append(piece.region)
     structure = PiecewiseValueStructure(
         tuple(ValuePiece(r, rat(0), rat(1)) for r in regions), influencer.prior
     )
     tight = {LE: 0, EQ: 0, GE: 0}
     for mu in grid_beliefs(3, 30) + (influencer.prior,):
-        expected = tuple(i for i, r in enumerate(regions) if _contains_reference(r, mu))
+        expected = tuple(i for i, rows in enumerate(literal) if _contains_reference(rows, mu))
         assert structure.pieces_at(mu) == expected
         # the same point over a multiple of its least common denominator
         scale = 7 * 30 * 60
@@ -227,8 +253,67 @@ def test_integer_containment_matches_fraction_reference(influencer):
         assert structure.pieces_at_scaled(point, scale) == expected
         for i, region in enumerate(regions):
             assert region.contains(mu) == (i in expected)
-            for coeffs, relation, rhs in region.rows:
+            for coeffs, relation, rhs in literal[i]:
                 tight[relation] += i in expected and _holds(
-                    [c - rhs for c in coeffs], EQ, mu
+                    [rat(c) - rat(rhs) for c in coeffs], EQ, mu
                 )
     assert min(tight.values()) > 0, tight
+
+
+# Direct regions with a row of every trim class: for each relation, one row
+# that z >= 0 implies after homogenizing (dropped) and kept rows with and
+# without both signs.  Each entry: literal rows, relations kept, empty?
+_TRIM_REGIONS = [
+    (
+        [
+            ([2, 1, 1], GE, 1),  # (1, 0, 0) >= 0: dropped
+            ([1, -1, 0], GE, 0),  # mixed signs: kept
+            ([1, 1, "1/2"], LE, 1),  # (0, 0, -1/2) <= 0: dropped
+            (["1/3", "-2/5", "1/2"], LE, "1/5"),  # mixed signs: kept
+            ([1, 1, 1], EQ, 1),  # all zeros: dropped
+        ],
+        [GE, LE],
+        False,
+    ),
+    (
+        [
+            ([1, 1, 0], GE, 1),  # (0, 0, -1) >= 0, no positive: kept (the face mu_2 = 0)
+            ([1, 0, 0], LE, "2/3"),
+            ([0, 0, 0], GE, 0),  # all zeros: dropped
+        ],
+        [GE, LE],
+        False,
+    ),
+    (
+        [
+            ([1, 2, 1], LE, 1),  # (0, 1, 0) <= 0, no negative: kept (the face mu_1 = 0)
+            ([1, 0, -1], EQ, 0),  # kept: the single point (1/2, 0, 1/2)
+            ([0, 0, 0], LE, 0),  # all zeros: dropped
+        ],
+        [LE, EQ],
+        False,
+    ),
+    (
+        [
+            ([2, 1, 1], GE, 1),  # dropped
+            ([1, -1, 0], GE, 0),
+            ([0, 1, 0], GE, "3/4"),  # with the row above, no belief is left
+        ],
+        [GE, GE],
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, relations, empty", _TRIM_REGIONS)
+def test_trimmed_rows_match_the_literal_region(rows, relations, empty):
+    region = Polytope.on_simplex(3, rows)
+    assert [relation for _, relation, _, _ in region.rows] == relations
+    assert not any(_implied_by_signs(*row) for row in _dense(region))
+    assert region.is_empty() == empty == _empty_reference(3, rows)
+    inside = 0
+    for mu in grid_beliefs(3, 30):
+        expected = _contains_reference(rows, mu)
+        assert region.contains(mu) == expected
+        inside += expected
+    assert (inside == 0) == empty

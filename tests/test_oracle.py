@@ -271,9 +271,12 @@ def test_random_binary_games_dominance():
         n = snapped_resolution(s, 128)
         captured = all((w * n).denominator == 1 for w in s.prior.weights)
         for piece in s.pieces:
-            for (c0, c1), _, rhs in piece.region.rows:
-                if c0 != c1:
-                    x = (rhs - c1) / (c0 - c1)
+            (a,) = piece.actions
+            for b in range(game.n_actions):
+                # the boundary of (u_a - u_b) . (x, 1 - x) >= 0
+                c0, c1 = (game.u[a][t] - game.u[b][t] for t in range(2))
+                if b != a and c0 != c1:
+                    x = -c1 / (c0 - c1)
                     if 0 <= x <= 1 and (x * n).denominator != 1:
                         captured = False
         exact = value_bp(game)
