@@ -10,6 +10,13 @@ envelope; restricted minima over reweighting grids bound the worst-prior
 values from the other side.  Gap allowances come from the pieces' affine
 slopes.
 
+A two-type table is reduced once to its run endpoints: walking the points by
+first coordinate, a run is a stretch with one ``(lo, hi)``.  On a run the
+reweighted share ``w`` is affine, so the value ``w * hi``, or
+``max(w * hi, w * (lo - b))`` under a budget, is affine or convex there, and
+no interior point rises above the chord of the run's endpoints: the hull, and
+the quasi-concave levels, read those endpoints and the prior alone.
+
 Candidate decompositions depend only on the structure and the grid, never on
 the reweighting, so they are built once and reused across reweightings.  Pool
 triples take their weights from one table of cross products of the pool
@@ -122,6 +129,9 @@ class _GridTable(NamedTuple):
     Point ``i`` has weight ``coords[i][t] / scale`` on type ``t``, achievable
     values between ``lo[i] / vden`` and ``hi[i] / vden``, and lies in
     ``cover[i]`` pieces.  The first ``n_grid`` points are the grid.
+    ``scored`` lists the points whose values the oracle reads, in the order it
+    reads them: for two types the run endpoints in ascending first
+    coordinate, for three types every point.
     """
 
     coords: tuple[tuple[int, ...], ...]
@@ -132,6 +142,7 @@ class _GridTable(NamedTuple):
     cover: tuple[int, ...]
     prior_idx: int
     n_grid: int
+    scored: Sequence[int]
 
 
 @lru_cache(maxsize=64)
@@ -151,24 +162,30 @@ def _grid_table(structure: PiecewiseValueStructure, resolution: int) -> _GridTab
         index[prior] = n_grid
         coords.append(prior)
     pieces = structure.pieces
+    bounds, vden = over_common_denominator([p.vmin for p in pieces] + [p.vmax for p in pieces])
+    vmin, vmax = bounds[: len(pieces)], bounds[len(pieces) :]
     lo, hi, cover = [], [], []
     for k in coords:
         covering = structure.pieces_at_scaled(k, scale)
         if not covering:
             raise ValueError(f"no piece covers belief {Belief([rat(v, scale) for v in k])}")
-        lo.append(min(pieces[i].vmin for i in covering))
-        hi.append(max(pieces[i].vmax for i in covering))
+        lo.append(min([vmin[i] for i in covering]))
+        hi.append(max([vmax[i] for i in covering]))
         cover.append(len(covering))
-    vden = lcm_of_denominators(lo + hi)
+    prior_idx = index[prior]
+    scored = range(len(coords))
+    if structure.dim <= 2:
+        # walk by first coordinate and keep the first and last point, the
+        # prior, and each point whose (lo, hi) differs from a neighbour's
+        order = sorted(scored, key=lambda i: coords[i][0])
+        runs = [(lo[i], hi[i]) for i in order]
+        last = len(order) - 1
+        scored = tuple([
+            i for j, i in enumerate(order)
+            if j in (0, last) or i == prior_idx or runs[j] != runs[j - 1] or runs[j] != runs[j + 1]
+        ])
     return _GridTable(
-        tuple(coords),
-        scale,
-        tuple(numerator_over(v, vden) for v in lo),
-        tuple(numerator_over(v, vden) for v in hi),
-        vden,
-        tuple(cover),
-        index[prior],
-        n_grid,
+        tuple(coords), scale, tuple(lo), tuple(hi), vden, tuple(cover), prior_idx, n_grid, scored
     )
 
 
@@ -178,7 +195,8 @@ def _pointwise_values(
     budget: Rational | None,
     table: _GridTable,
 ) -> tuple[list[int], int]:
-    """Value numerators at every table point, over one returned denominator.
+    """Value numerators at the table's ``scored`` points, in that order, over
+    one returned denominator.
 
     The reweighted value at ``mu`` is ``w * hi``, or ``max(w * hi, w * (lo - b))``
     under budget ``b``, with ``w = sum_t lam_t * mu_t / p_t``.  Writing
@@ -186,17 +204,15 @@ def _pointwise_values(
     integer for integer coordinates ``k``; ``w`` may be negative.
     """
     c, c_den = _reweighting(structure, lam)
-    ws = [sum(map(mul, c, k)) for k in table.coords]
+    coords, lo, hi, scored = table.coords, table.lo, table.hi, table.scored
+    ws = [sum(map(mul, c, coords[i])) for i in scored]
     den = c_den * table.scale * table.vden
     if budget is None:
-        return [w * h for w, h in zip(ws, table.hi)], den
+        return [w * hi[i] for w, i in zip(ws, scored)], den
     b = rat(budget)
     b_den = b.denominator
     shift = b.numerator * table.vden
-    vals = [
-        max(w * (h * b_den), w * (lo * b_den - shift))
-        for w, lo, h in zip(ws, table.lo, table.hi)
-    ]
+    vals = [max(w * (hi[i] * b_den), w * (lo[i] * b_den - shift)) for w, i in zip(ws, scored)]
     return vals, den * b_den
 
 
@@ -252,23 +268,27 @@ def _candidates(structure: PiecewiseValueStructure, resolution: int) -> _Candida
 
     # Exhaustive collinear pairs, walking the exact ray from each grid point
     # through the prior; needs the prior itself on the grid, so every step
-    # that stays nonnegative lands on a grid point.
+    # that stays nonnegative lands on a grid point.  Points on one ray share
+    # its far side, so each direction is walked once.
     step = table.scale // resolution
     if all(v % step == 0 for v in prior):
-        for i, k in enumerate(coords):
+        p0, p1, p2 = prior
+        rays: dict[tuple[int, int, int], list[int]] = {}
+        for i, (k0, k1, k2) in enumerate(coords):
             if i == prior_idx:
                 continue
-            d = [prior[t] - k[t] for t in range(3)]
-            g = 0
-            for v in d:
-                g = gcd(g, v // step)
-            d = [v // g for v in d]
-            # d sums to zero and is nonzero, so some entry is negative
-            j_max = min(prior[t] // -d[t] for t in range(3) if d[t] < 0)
-            for j in range(1, j_max + 1):
-                other = index[(prior[0] + j * d[0], prior[1] + j * d[1], prior[2] + j * d[2])]
-                # prior = (j * point_i + g * point_other) / (g + j)
-                out.append(((i, other), (j, g), g + j))
+            d0, d1, d2 = p0 - k0, p1 - k1, p2 - k2
+            g = gcd(d0, d1, d2) // step
+            d0, d1, d2 = d = (d0 // g, d1 // g, d2 // g)
+            others = rays.get(d)
+            if others is None:
+                # d sums to zero and is nonzero, so some entry is negative
+                j_max = min(prior[t] // -d[t] for t in range(3) if d[t] < 0)
+                others = rays[d] = [
+                    index[(p0 + j * d0, p1 + j * d1, p2 + j * d2)] for j in range(1, j_max + 1)
+                ]
+            # prior = (j * point_i + g * point_other) / (g + j)
+            out += [((i, other), (j, g), g + j) for j, other in enumerate(others, 1)]
 
     out += _pool_triples(coords, prior, _boundary_pool(structure.dim, table, index))
 
@@ -316,6 +336,9 @@ def _front(
     """
     coords, hi = table.coords, table.hi
     front: list[tuple[int, int, int, int]] = []
+    # (b0, b1, b2, e) is the front entry that last dominated or joined, tried
+    # first; e == 0 while the front is empty
+    b0 = b1 = b2 = e = 0
     for combo, weights, d in candidates:
         a0 = a1 = a2 = 0
         for i, w in zip(combo, weights):
@@ -324,6 +347,8 @@ def _front(
             a0 += h * k0
             a1 += h * k1
             a2 += h * k2
+        if e and a0 * e <= b0 * d and a1 * e <= b1 * d and a2 * e <= b2 * d:
+            continue
         for b0, b1, b2, e in front:
             if a0 * e <= b0 * d and a1 * e <= b1 * d and a2 * e <= b2 * d:
                 break  # dominated, or equal to a kept entry
@@ -332,6 +357,7 @@ def _front(
                 f for f in front
                 if not (f[0] * d <= a0 * f[3] and f[1] * d <= a1 * f[3] and f[2] * d <= a2 * f[3])
             ]
+            b0, b1, b2, e = a0, a1, a2, d
             front.append((a0, a1, a2, d))
     return tuple(front)
 
@@ -398,31 +424,25 @@ def grid_concavify(
                 best, best_den = v, delta
         return rat(best, best_den * c_den * table.scale * table.vden)
     vals, den = _pointwise_values(structure, lam, budget, table)
+    if dim < 3:
+        # the prior is a hull point, so the hull is at least its own value
+        num, hull_den = _hull_value_at(table, vals)
+        return rat(num, hull_den * den)
     # the best value so far is best / (best_den * den)
     best, best_den = vals[table.prior_idx], 1
-    if dim == 2:
-        num, hull_den = _hull_value_at(table, vals)
-        if num > best * hull_den:
-            best, best_den = num, hull_den
-    elif dim == 3:
-        for combo, weights, delta in _candidates(structure, grid.resolution).every:
-            v = sum(map(mul, weights, map(vals.__getitem__, combo)))
-            if v * best_den > best * delta:
-                best, best_den = v, delta
+    for combo, weights, delta in _candidates(structure, grid.resolution).every:
+        v = sum(map(mul, weights, map(vals.__getitem__, combo)))
+        if v * best_den > best * delta:
+            best, best_den = v, delta
     return rat(best, best_den * den)
 
 
 def _hull_value_at(table: _GridTable, vals: list[int]) -> tuple[int, int]:
-    """Exact upper-concave-hull interpolation at the prior (two types), as a
-    numerator and a multiplier of the values' denominator."""
-    pts = sorted(zip((k[0] for k in table.coords), vals))
+    """Exact upper-concave-hull interpolation at the prior (two types) over the
+    values of the ``scored`` points, as a numerator and a multiplier of the
+    values' denominator."""
     hull: list[tuple[int, int]] = []
-    for p in pts:
-        if hull and hull[-1][0] == p[0]:
-            if p[1] > hull[-1][1]:
-                hull.pop()
-            else:
-                continue
+    for p in zip([table.coords[i][0] for i in table.scored], vals):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # drop the middle point when it sits on or under the chord
@@ -468,14 +488,14 @@ def grid_qcav_binary(structure: PiecewiseValueStructure, grid: GridSpec) -> Rati
     if structure.dim != 2:
         raise TooManyTypes("grid quasi-concavification implemented for 2 types")
     table = _grid_table(structure, grid.resolution)
-    x0 = table.coords[table.prior_idx][0]
-    points = [(k[0], hi) for k, hi in zip(table.coords, table.hi)]
-    for level in sorted(set(table.hi), reverse=True):
-        left = any(x <= x0 and v >= level for x, v in points)
-        right = any(x >= x0 and v >= level for x, v in points)
-        if left and right:
-            return rat(level, table.vden)
-    raise CertificateError("no grid level straddles the prior")
+    coords, hi = table.coords, table.hi
+    x0 = coords[table.prior_idx][0]
+    # a run's endpoints share its hi and span its first coordinates
+    left = [hi[i] for i in table.scored if coords[i][0] <= x0]
+    right = [hi[i] for i in table.scored if coords[i][0] >= x0]
+    if not (left and right):
+        raise CertificateError("no grid level straddles the prior")
+    return rat(min(max(left), max(right)), table.vden)
 
 
 def simplex_lambda_grid(dim: int, steps: int) -> list[SubjectivePrior]:

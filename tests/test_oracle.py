@@ -158,6 +158,117 @@ def test_hull_matches_literal_pair_search(three_actions):
         assert grid_concavify(s, lam, budget, grid) == best
 
 
+def _reference_hull_value(table, vals):
+    """Upper-concave-hull interpolation at the prior over every table point:
+    the points sorted by first coordinate, Andrew's monotone chain, then the
+    chord over the prior; ``vals`` holds a value for every point."""
+    pts = sorted(zip((k[0] for k in table.coords), vals))
+    hull = []
+    for p in pts:
+        if hull and hull[-1][0] == p[0]:
+            if p[1] > hull[-1][1]:
+                hull.pop()
+            else:
+                continue
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    x0 = table.coords[table.prior_idx][0]
+    if x0 <= hull[0][0]:
+        return rat(hull[0][1])
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if x1 <= x0 <= x2:
+            return rat(y1 * (x2 - x1) + (y2 - y1) * (x0 - x1), x2 - x1)
+    return rat(hull[-1][1])
+
+
+def _reference_concavify(structure, lam, budget, resolution):
+    """The two-type grid bound over every table point, not the run endpoints."""
+    table = oracle._grid_table(structure, resolution)
+    full = table._replace(scored=range(len(table.coords)))
+    vals, den = oracle._pointwise_values(structure, lam, budget, full)
+    return max(_reference_hull_value(full, vals), rat(vals[table.prior_idx])) / den
+
+
+def _reference_qcav(structure, resolution):
+    """The best level whose superlevel set straddles the prior, scanning every
+    table point at every level."""
+    table = oracle._grid_table(structure, resolution)
+    x0 = table.coords[table.prior_idx][0]
+    points = [(k[0], hi) for k, hi in zip(table.coords, table.hi)]
+    for level in sorted(set(table.hi), reverse=True):
+        if any(x <= x0 and v >= level for x, v in points) and any(
+            x >= x0 and v >= level for x, v in points
+        ):
+            return rat(level, table.vden)
+    raise CertificateError("no grid level straddles the prior")
+
+
+def _binary_hull_cases():
+    """(structure, resolution) for 50 two-type corpus games: at the snapped
+    resolution, and at 31, which leaves every corpus prior off the grid."""
+    games = [g for g in game_corpus(120, seed=1717) if g.n_types == 2][:50]
+    assert len(games) == 50
+    cases = []
+    for game in games:
+        s = compile_pieces(game)
+        cases += [(s, snapped_resolution(s, 32)), (s, 31)]
+    return cases
+
+
+_HULL_LAMBDAS = [(lam, b) for lam in simplex_lambda_grid(2, 4) for b in (None, 0, 1, 2)] + [
+    (lam, b) for lam in affine_lambda_grid_binary(-4, 2, 48) for b in (0, 1, 2)
+]
+
+
+def test_run_endpoint_hull_matches_the_all_points_hull():
+    # Points inside a run of equal (lo, hi) lie on or under the chord of the
+    # run's endpoints, so the hull over the endpoints is the full hull.
+    for s, n in _binary_hull_cases():
+        table = oracle._grid_table(s, n)
+        assert table.prior_idx == table.n_grid or n != 31
+        assert len(table.scored) < len(table.coords)
+        for lam, b in _HULL_LAMBDAS:
+            budget = None if b is None else rat(b)
+            assert grid_concavify(s, lam, budget, GridSpec(n)) == _reference_concavify(
+                s, lam, budget, n
+            ), (s.prior, n, lam, b)
+        assert grid_qcav_binary(s, GridSpec(n)) == _reference_qcav(s, n)
+
+
+def test_dropping_a_run_endpoint_changes_the_hull(monkeypatch):
+    # Negative control: the comparison above would catch a missing endpoint.
+    grid_table = oracle._grid_table
+    for s, n in _binary_hull_cases():
+        table = grid_table(s, n)
+        for j, i in enumerate(table.scored):
+            if i == table.prior_idx:
+                continue
+            doctored = table._replace(scored=table.scored[:j] + table.scored[j + 1 :])
+            monkeypatch.setattr(oracle, "_grid_table", lambda *_: doctored)
+            for lam, b in _HULL_LAMBDAS:
+                budget = None if b is None else rat(b)
+                if grid_concavify(s, lam, budget, GridSpec(n)) != _reference_concavify(
+                    s, lam, budget, n
+                ):
+                    return
+            monkeypatch.setattr(oracle, "_grid_table", grid_table)
+    pytest.fail("no dropped run endpoint changed any grid value")
+
+
+@pytest.mark.parametrize("name, count", [("salesman", 6), ("three_actions", 8)])
+def test_verify_tables_keep_only_run_endpoints(name, count):
+    # The audit's snapped two-type tables score these few points, not every
+    # grid point (257 and 361).
+    s = load_game_file(str(GAMES / f"{name}.json")).any_structure()
+    table = oracle._grid_table(s, snapped_resolution(s, 256))
+    assert len(table.scored) == count
+
+
 def test_dominance_and_monotone_gaps(salesman):
     s = compile_pieces(salesman)
     exact = value_bp(salesman)
