@@ -390,9 +390,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GameFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except GameValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -215,12 +215,10 @@ def validate_game(
         rows.append(_rat_tuple(row))
     if len(v) != len(actions):
         raise DimensionMismatch(f"v has {len(v)} entries for {len(actions)} actions")
-    if not isinstance(prior, Belief):
-        if len(prior) != len(types):
-            raise PriorNotOnSimplex(f"prior has {len(prior)} entries for {len(types)} types")
-        prior = Belief(prior)
-    elif len(prior) != len(types):
+    if len(prior) != len(types):
         raise PriorNotOnSimplex(f"prior has {len(prior)} entries for {len(types)} types")
+    if not isinstance(prior, Belief):
+        prior = Belief(prior)
     return PersuasionGame(tuple(types), tuple(actions), tuple(rows), _rat_tuple(v), prior)
 
 

@@ -135,8 +135,8 @@ def _blocks(
 
 def _cone_blocks(
     structure: PiecewiseValueStructure, pieces: list[int]
-) -> tuple[list[tuple[str, str]], IntRows, IntRows]:
-    """Variables, prior-mass rows and cone rows for one block per listed piece.
+) -> tuple[tuple[str, ...], IntRows, IntRows]:
+    """Variable signs, prior-mass rows and cone rows for one block per listed piece.
 
     Block ``b`` holds the nonnegative ``mass x belief`` vector ``z{b}_{t}`` at
     columns ``b * dim + t``.  The mass rows make the blocks sum to the prior;
@@ -147,7 +147,7 @@ def _cone_blocks(
     columns.
     """
     n = structure.dim
-    variables = [(f"z{b}_{t}", NONNEG) for b in range(len(pieces)) for t in range(n)]
+    signs = (NONNEG,) * (len(pieces) * n)
     mass = []
     for t, p in enumerate(structure.prior.weights):
         d = p.denominator
@@ -157,7 +157,7 @@ def _cone_blocks(
         off = b * n
         for pairs, relation, rhs, den in structure.pieces[k].region.rows:
             cone.append((tuple([(off + t, v) for t, v in pairs]), relation, rhs, den))
-    return variables, tuple(mass), tuple(cone)
+    return signs, tuple(mass), tuple(cone)
 
 
 def _prior_start(
@@ -288,8 +288,8 @@ def concavify_weighted(
         for t in range(n):
             if ratios[t] != 0:
                 objective[b * n + t] = coeff * ratios[t]
-    variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
-    lp = LinearProgram.on_integers("max", variables, objective, mass + cone)
+    signs, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
+    lp = LinearProgram("max", signs, objective, mass + cone)
     sol = solve(lp, _prior_start(structure, blocks))
     if sol.status != OPTIMAL:
         raise CertificateError(f"envelope LP came back {sol.status}")
@@ -398,8 +398,7 @@ def worst_prior_envelope(
     n = structure.dim
     blocks = _blocks(structure, budget)
     eta = len(blocks) * n
-    variables, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
-    variables.append(("eta", FREE))
+    signs, mass, cone = _cone_blocks(structure, [k for k, _, _ in blocks])
 
     # Payoff rows sit right after the n mass rows, so their duals are dual[n + t].
     # Row t is eta - sum_b coeff_b / prior_t * z{b}_{t} REL 0: with the
@@ -414,7 +413,7 @@ def worst_prior_envelope(
         g = math.gcd(den, *[v for _, v in row])
         payoff.append((tuple([(j, v // g) for j, v in row]), relation, 0, den // g))
 
-    lp = LinearProgram.on_integers("max", variables, {eta: ONE}, mass + tuple(payoff) + cone)
+    lp = LinearProgram("max", signs + (FREE,), {eta: ONE}, mass + tuple(payoff) + cone)
     basis = None if start is None else _start_from(structure, blocks, start)
     sol = solve(lp, basis or _prior_start(structure, blocks, eta))
     if sol.status != OPTIMAL:
@@ -446,8 +445,8 @@ def quasiconcavify(structure: PiecewiseValueStructure) -> Rational:
     levels = sorted({p.vmax for p in pieces}, reverse=True)
     for level in levels:
         qualifying = [k for k, p in enumerate(pieces) if p.vmax >= level]
-        variables, mass, cone = _cone_blocks(structure, qualifying)
-        lp = LinearProgram.on_integers("max", variables, {}, mass + cone)
+        signs, mass, cone = _cone_blocks(structure, qualifying)
+        lp = LinearProgram("max", signs, {}, mass + cone)
         if solve(lp).status == OPTIMAL:
             return level
     raise CertificateError("piece regions failed to cover the simplex")

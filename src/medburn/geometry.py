@@ -52,9 +52,9 @@ class Polytope:
             if relation not in (LE, EQ, GE):
                 raise ValueError(f"unknown relation {relation!r}")
             b = rat(rhs)
-            pairs = [(t, h) for t, h in enumerate(rat(c) - b for c in coeffs) if h]
-            negative = any(h < 0 for _, h in pairs)
-            positive = any(h > 0 for _, h in pairs)
+            row = {t: h for t, h in enumerate(rat(c) - b for c in coeffs) if h}
+            negative = any(h < 0 for h in row.values())
+            positive = any(h > 0 for h in row.values())
             if relation == GE:
                 needed = negative
             elif relation == LE:
@@ -62,7 +62,7 @@ class Polytope:
             else:
                 needed = negative or positive
             if needed:
-                kept.append((pairs, relation, ZERO))
+                kept.append((row, relation, ZERO))
         return Polytope(dim, integer_rows(kept))
 
     def contains(self, mu: Belief) -> bool:
@@ -76,8 +76,7 @@ class Polytope:
         """Whether no belief satisfies the rows: one LP, the sum-to-one row then ``rows``."""
         n = self.dim
         simplex = ((tuple([(t, 1) for t in range(n)]), EQ, 1, 1),)
-        variables = [(f"m{t}", NONNEG) for t in range(n)]
-        lp = LinearProgram.on_integers("max", variables, {}, simplex + self.rows)
+        lp = LinearProgram("max", (NONNEG,) * n, {}, simplex + self.rows)
         return solve(lp).status != OPTIMAL
 
 
@@ -265,8 +264,7 @@ def _face_lp(
         if strict_opt:
             row[s_var] = rat(-1)
         cons.append((row, GE, 0))
-    variables = [(f"m{t}", NONNEG) for t in range(n)] + [("s", FREE)]
-    return LinearProgram("max", variables, {s_var: 1}, cons)
+    return LinearProgram("max", (NONNEG,) * n + (FREE,), {s_var: 1}, integer_rows(cons))
 
 
 def _optimal_inside_face(game: PersuasionGame, support: tuple[int, ...], a: int) -> bool:

@@ -4,14 +4,16 @@ Two-phase simplex with Bland's anti-cycling rule on a condensed tableau:
 only the nonbasic columns are stored, since a basic column is a unit vector.
 The stored entries are those of the full-width tableau, and Bland's rule
 reads nothing else, so it takes the same pivots on fewer cells.  A program
-is stored on integers: ``int_rows`` holds each constraint row's numerators over
-its least common denominator, derived once when the program is built from
-rational rows, or handed over as they are by ``LinearProgram.on_integers``;
-``constraints``, the rows as rationals, is built only when read.  The
-tableau starts from those rows and stays fraction-free: a pivot updates a
-row by integer cross-multiplication (integer-preserving elimination in the
-style of Edmonds 1967 and Bareiss 1968) and divides out the gcd of the row
-and its denominator only once the denominator passes ``REDUCE_BITS`` bits.
+is stored on integers and its variables carry only their signs:
+``int_rows`` holds each constraint row's numerators over its least common
+denominator, handed to ``LinearProgram`` as they are (``integer_rows``
+turns sparse rational rows into that form), the objective is packed once
+over one denominator, and ``constraints``, the rows as rationals, is built
+only when read.  The tableau starts from those rows and stays
+fraction-free: a pivot updates a row by integer cross-multiplication
+(integer-preserving elimination in the style of Edmonds 1967 and Bareiss
+1968) and divides out the gcd of the row and its denominator only once the
+denominator passes ``REDUCE_BITS`` bits.
 
 A caller that knows a feasible basis can hand ``solve`` a *start*, a
 ``Basis``: the structural variables that enter it, a free one on its
@@ -74,28 +76,22 @@ class CertificateError(RuntimeError):
 
 
 SparseRow = Mapping[int, RationalLike]
-
-
-def _pack_row(row: SparseRow, nvars: int, what: str) -> tuple[tuple[int, Rational], ...]:
-    packed = []
-    for j, coeff in row.items():
-        if not isinstance(j, int) or isinstance(j, bool) or j < 0 or j >= nvars:
-            raise MalformedProgram(f"{what} references undeclared variable {j!r}")
-        c = rat(coeff)
-        if c:
-            packed.append((j, c))
-    return tuple(sorted(packed))
-
-
 IntRows = tuple[tuple[tuple[tuple[int, int], ...], str, int, int], ...]
 
 
-def integer_rows(rows: Iterable[tuple[Sequence[tuple[int, Rational]], str, Rational]]) -> IntRows:
-    """Sparse rows ``(pairs, relation, rhs)`` on integers: each row's ``(j, numerator)``
-    pairs, relation, rhs numerator and least common denominator they are over."""
+def integer_rows(rows: Iterable[tuple[SparseRow, str, RationalLike]]) -> IntRows:
+    """Sparse rational rows ``({j: coeff}, relation, rhs)`` on integers: each
+    row's ``(j, numerator)`` pairs, sorted by ``j`` and without zeros, its
+    relation, its rhs numerator, and the least common denominator they are
+    all over."""
     out = []
-    for pairs, relation, rhs in rows:
-        nums, den = over_common_denominator([c for _, c in pairs] + [rhs])
+    for row, relation, rhs in rows:
+        pairs = []
+        for j, c in sorted(row.items()):
+            c = rat(c)
+            if c:
+                pairs.append((j, c))
+        nums, den = over_common_denominator([c for _, c in pairs] + [rat(rhs)])
         out.append((tuple([(j, v) for (j, _), v in zip(pairs, nums)]), relation, nums[-1], den))
     return tuple(out)
 
@@ -113,64 +109,44 @@ def rows_hold(rows: IntRows, point: Sequence[int], scale: int) -> bool:
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """Maximize or minimize ``objective`` over variables of the given
+    ``signs`` (``NONNEG`` or ``FREE``) subject to ``int_rows``, which come in
+    ``integer_rows`` form.  The sparse rational objective ``{j: coeff}`` is
+    kept as ``(j, numerator)`` pairs, sorted and without zeros, over one
+    denominator."""
+
     sense: str
-    variables: tuple[tuple[str, str], ...]  # (name, "nonneg" | "free")
-    objective: tuple[tuple[int, Rational], ...]
+    signs: tuple[str, ...]
+    objective: tuple[tuple[tuple[int, int], ...], int]
     int_rows: IntRows
 
     def __init__(
         self,
         sense: str,
-        variables: Sequence[tuple[str, str]],
-        objective: SparseRow,
-        constraints: Iterable[tuple[SparseRow, str, RationalLike]],
-    ):
-        n = self._set_fields(sense, variables, objective)
-        cons = []
-        for row, relation, rhs in constraints:
-            if relation not in _RELS:
-                raise MalformedProgram(f"unknown relation {relation!r}")
-            cons.append((_pack_row(row, n, "constraint"), relation, rat(rhs)))
-        object.__setattr__(self, "int_rows", integer_rows(cons))
-
-    @classmethod
-    def on_integers(
-        cls,
-        sense: str,
-        variables: Sequence[tuple[str, str]],
+        signs: Iterable[str],
         objective: SparseRow,
         int_rows: Iterable[tuple[tuple[tuple[int, int], ...], str, int, int]],
-    ) -> "LinearProgram":
-        """A program whose constraints are already on integers, as ``int_rows``
-        holds them: each row's ``(j, numerator)`` pairs, sorted by ``j`` and
-        without zeros, its relation, its rhs numerator, and the least common
-        denominator they are all over."""
-        program = cls.__new__(cls)
-        n = program._set_fields(sense, variables, objective)
-        rows = tuple(int_rows)
-        for pairs, relation, _, den in rows:
-            if relation not in _RELS:
-                raise MalformedProgram(f"unknown relation {relation!r}")
-            if den <= 0 or pairs and (pairs[0][0] < 0 or pairs[-1][0] >= n):
-                raise MalformedProgram("integer row out of range")
-        object.__setattr__(program, "int_rows", rows)
-        return program
-
-    def _set_fields(
-        self, sense: str, variables: Sequence[tuple[str, str]], objective: SparseRow
-    ) -> int:
-        """Validate and store everything but the rows; return the variable count."""
+    ):
         if sense not in ("max", "min"):
             raise MalformedProgram(f"sense must be 'max' or 'min', got {sense!r}")
-        vars_packed = tuple([(str(n), s) for n, s in variables])  # see lcm_of_denominators
-        for name, sign in vars_packed:
+        signs = tuple(signs)
+        for j, sign in enumerate(signs):
             if sign not in (NONNEG, FREE):
-                raise MalformedProgram(f"variable {name!r} has unknown sign {sign!r}")
-        n = len(vars_packed)
+                raise MalformedProgram(f"variable {j} has unknown sign {sign!r}")
+        n = len(signs)
+        if any(not 0 <= j < n for j in objective):
+            raise MalformedProgram("objective references an undeclared variable")
+        pairs, _, _, den = integer_rows([(objective, EQ, 0)])[0]
+        rows = tuple(int_rows)
+        for row, relation, _, d in rows:
+            if relation not in _RELS:
+                raise MalformedProgram(f"unknown relation {relation!r}")
+            if d <= 0 or row and (row[0][0] < 0 or row[-1][0] >= n):
+                raise MalformedProgram("integer row out of range")
         object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "variables", vars_packed)
-        object.__setattr__(self, "objective", _pack_row(objective, n, "objective"))
-        return n
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "objective", (pairs, den))
+        object.__setattr__(self, "int_rows", rows)
 
     @cached_property
     def constraints(self) -> tuple[tuple[tuple[tuple[int, Rational], ...], str, Rational], ...]:
@@ -180,19 +156,13 @@ class LinearProgram:
             for pairs, relation, b, den in self.int_rows
         ])
 
-    @cached_property
-    def int_objective(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """``objective`` on integers: ``(j, numerator)`` pairs and their common denominator."""
-        nums, den = over_common_denominator([c for _, c in self.objective])
-        return tuple([(j, v) for (j, _), v in zip(self.objective, nums)]), den
-
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.signs)
 
     def objective_value(self, x: Sequence[Rational] | ScaledVector) -> Rational:
         nums, den = scaled(x)
-        pairs, cden = self.int_objective
+        pairs, cden = self.objective
         total = 0
         for j, c in pairs:
             total += c * nums[j]
@@ -255,7 +225,7 @@ class LpSolution:
 
 def primal_feasible(lp: LinearProgram, x: Sequence[Rational] | ScaledVector) -> bool:
     nums, den = scaled(x)
-    for (_, sign), v in zip(lp.variables, nums):
+    for sign, v in zip(lp.signs, nums):
         if sign == NONNEG and v < 0:
             return False
     return rows_hold(lp.int_rows, nums, den)
@@ -291,11 +261,11 @@ def dual_feasible(lp: LinearProgram, y: Sequence[Rational] | ScaledVector) -> bo
         if relation == GE and (yi > 0 if is_max else yi < 0):
             return False
     # compare combo / w with the cost row c / cden
-    pairs, cden = lp.int_objective
+    pairs, cden = lp.objective
     cost = [0] * lp.n_vars
     for j, v in pairs:
         cost[j] = v * w
-    for j, (_, sign) in enumerate(lp.variables):
+    for j, sign in enumerate(lp.signs):
         excess = combo[j] * cden - cost[j]
         # free: combo == cost; nonneg: combo >= cost (max) or <= cost (min)
         if excess and (sign == FREE or (excess < 0) == is_max):
@@ -327,7 +297,7 @@ def farkas_valid(lp: LinearProgram, u: Sequence[Rational] | ScaledVector) -> boo
             return False
         if relation == GE and ui < 0:
             return False
-    for j, (_, sign) in enumerate(lp.variables):
+    for j, sign in enumerate(lp.signs):
         if sign == FREE and combo[j] != 0:
             return False
         if sign == NONNEG and combo[j] > 0:
@@ -400,7 +370,7 @@ class _Tableau:
         # Structural columns: nonneg -> one column, free -> plus/minus pair.
         self.col_of_var: list[tuple[int, int | None]] = []
         ncols = 0
-        for _, sign in lp.variables:
+        for sign in lp.signs:
             if sign == NONNEG:
                 self.col_of_var.append((ncols, None))
                 ncols += 1
@@ -580,7 +550,7 @@ class _Tableau:
             self._purge_artificials()
 
         # Phase 2 minimizes: a max program's costs are negated.
-        pairs, cden = lp.int_objective
+        pairs, cden = lp.objective
         flip = 1 if lp.sense == "min" else -1
         cost = [0] * self.ncols
         for j, v in pairs:

@@ -353,8 +353,16 @@ def check_pbe(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> PbeChec
     reached; no pure report may beat a type's prescribed reports.
     """
     game = restrict_to_support(game)
-    type_index = {t: i for i, t in enumerate(game.types)}
     action_index = {a: i for i, a in enumerate(game.actions)}
+
+    for t_label in game.types:
+        try:
+            reports = assess.sigma_of(t_label)
+        except KeyError:
+            return PbeCheck(False, f"assessment has no strategy for type {t_label!r}")
+        for m in reports:
+            if m not in raw.inputs:
+                return PbeCheck(False, f"type {t_label!r} reports {m!r}, not a mechanism input")
 
     for key in raw.info_sets():
         try:
@@ -366,6 +374,8 @@ def check_pbe(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> PbeChec
             return PbeCheck(False, f"belief at {key} has wrong dimension")
         ro = set(best_responses(game, mu))
         for a in act:
+            if a not in action_index:
+                return PbeCheck(False, f"receiver action {a!r} at {key} is not a game action")
             if action_index[a] not in ro:
                 return PbeCheck(
                     False, f"receiver action {a!r} at {key} is not optimal under its belief"
@@ -417,7 +427,6 @@ def canonicalize(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> Cano
 
     n = game.n_types
     groups: dict[tuple[Rational, ...], list[InfoSet]] = {}
-    order: list[tuple[Rational, ...]] = []
     reach: dict[InfoSet, Rational] = {}
     reach_by_type: dict[InfoSet, list[Rational]] = {}
     for key in raw.info_sets():
@@ -426,15 +435,10 @@ def canonicalize(game: PersuasionGame, raw: RawMDMB, assess: Assessment) -> Cano
             continue
         reach[key] = total
         reach_by_type[key] = by_type
-        mu_key = assess.belief_of(key).weights
-        if mu_key not in groups:
-            groups[mu_key] = []
-            order.append(mu_key)
-        groups[mu_key].append(key)
+        groups.setdefault(assess.belief_of(key).weights, []).append(key)
 
     atoms, pi_cols, burns, vals = [], [], [], []
-    for mu_key in order:
-        keys = groups[mu_key]
+    for mu_key, keys in groups.items():
         mass = sum((reach[k] for k in keys), ZERO)
         atoms.append(Belief(mu_key))
         pi_cols.append(

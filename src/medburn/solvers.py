@@ -35,7 +35,7 @@ from .envelopes import (
     worst_prior_envelope,
 )
 from .geometry import PiecewiseValueStructure, compile_pieces, value_interval
-from .lp import EQ, FREE, GE, OPTIMAL, CertificateError, LinearProgram, solve
+from .lp import EQ, FREE, GE, OPTIMAL, CertificateError, LinearProgram, integer_rows, solve
 from .rational import ONE, ZERO, Rational, RationalLike, over_common_denominator, rat
 
 
@@ -237,10 +237,8 @@ def _min_affine_payoff(
                     row[t] = -share * coeff
             cons.append((row, GE, 0))
         objective[s0 + i] = weight
-    variables = [(f"l{t}", FREE) for t in range(n)] + [
-        (f"s{i}", FREE) for i in range(len(atoms))
-    ]
-    sol = solve(LinearProgram("min", variables, objective, cons))
+    signs = (FREE,) * (n + len(atoms))
+    sol = solve(LinearProgram("min", signs, objective, integer_rows(cons)))
     if sol.status != OPTIMAL:
         raise CertificateError("affine best-response LP must be solvable")
     return sol.value

@@ -1,13 +1,20 @@
 """The names the benchmark's tracer hooks into must exist in medburn.
 
-``perfbench/tracing.py`` wraps functions and reads oracle caches by name, so
-renaming or deleting one breaks the benchmark without breaking any solver
-test.  The tracer module is loaded from its file, unchanged.
+``perfbench/tracing.py`` wraps functions, reads oracle caches by name and
+sizes each solved program from its attributes, so renaming or deleting one
+breaks the benchmark without breaking any solver test.  The tracer module is
+loaded from its file, unchanged.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import medburn.geometry as geometry
+from envelope_pivots import envelope_pivots
+from medburn.envelopes import worst_prior_envelope
+from medburn.geometry import Polytope, compile_pieces
+from medburn.lp import GE, INFEASIBLE, OPTIMAL, solve
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -41,3 +48,34 @@ def test_benchmark_clears_every_oracle_cache():
         if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
     }
     assert caches == set(tracing.ORACLE_CACHES)
+
+
+def test_benchmark_reads_what_a_program_keeps(salesman, monkeypatch):
+    # The tracer sizes every solved program from its ``constraints`` and
+    # ``n_vars``; a program that stops keeping either would crash traced
+    # runs without failing any solver test.
+    with envelope_pivots() as programs:
+        worst_prior_envelope(compile_pieces(salesman), 0)  # mediation's program
+    (md, _, _), = programs
+    solved = []
+
+    def recording_solve(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(geometry, "solve", recording_solve)
+    assert Polytope.on_simplex(2, [((1, 0), GE, 2)]).is_empty()
+    (empty,) = solved
+
+    tracer = _load_tracing().Tracer()
+    for lp, status in ((md, OPTIMAL), (empty, INFEASIBLE)):
+        before = dict(tracer.counts)
+        sol = solve(lp)
+        assert sol.status == status
+        tracer._count_lp((lp,), sol)
+        cells = tracer.counts["lp.cells"] - before["lp.cells"]
+        nonzeros = tracer.counts["lp.nonzeros"] - before["lp.nonzeros"]
+        assert cells == len(lp.int_rows) * lp.n_vars > 0
+        assert nonzeros == sum(len(pairs) for pairs, _, _, _ in lp.int_rows) > 0
+    assert tracer.counts["lp.infeasible"] == 1
+    assert tracer.counts["lp.max_entry_bits"] > 0

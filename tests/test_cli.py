@@ -342,7 +342,8 @@ def test_certificate_error_survives_optimize(tmp_path):
         "assert False, 'assert statements are live: this run does not test -O'\n"
         "dual_feasible = lp.dual_feasible\n"
         "lp.dual_feasible = lambda program, y: False\n"
-        "program = lp.LinearProgram('max', [('x', lp.NONNEG)], {0: 1}, [({0: 1}, '<=', 3)])\n"
+        "rows = lp.integer_rows([({0: 1}, '<=', 3)])\n"
+        "program = lp.LinearProgram('max', [lp.NONNEG], {0: 1}, rows)\n"
         "try:\n"
         "    lp.solve(program)\n"
         "except lp.CertificateError as exc:\n"

@@ -22,7 +22,7 @@ from medburn.geometry import (
     Polytope, PiecewiseValueStructure, ValuePiece, compile_pieces, tie_region
 )
 from medburn.lp import (
-    OPTIMAL, Basis, CertificateError, dual_feasible, dual_objective, primal_feasible, solve
+    FREE, OPTIMAL, Basis, CertificateError, dual_feasible, dual_objective, primal_feasible, solve
 )
 from medburn.oracle import GridSpec, grid_concavify, lipschitz_slack
 from medburn.solvers import (
@@ -359,7 +359,7 @@ def test_chained_capped_programs_take_fewer_pivots():
             structure = compile_pieces(random_game_of_shape(rng, *shape))
             with envelope_pivots() as programs:
                 protocol_report_structure(structure, [1, 2])
-            _, cap_1, cap_2, _ = [p for lp, _, p in programs if lp.variables[-1][0] == "eta"]
+            _, cap_1, cap_2, _ = [p for lp, _, p in programs if lp.signs[-1] == FREE]
             chained += cap_1 + cap_2
             with envelope_pivots() as programs:
                 for budget in (rat(1), rat(2)):

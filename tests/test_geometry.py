@@ -13,7 +13,7 @@ from medburn.geometry import (
     tie_region,
     value_interval,
 )
-from medburn.lp import EQ, GE, LE, NONNEG, OPTIMAL, LinearProgram, solve
+from medburn.lp import EQ, GE, LE, NONNEG, OPTIMAL, LinearProgram, integer_rows, solve
 from medburn.oracle import grid_beliefs
 from medburn.solvers import protocol_report
 
@@ -225,8 +225,7 @@ def _empty_reference(dim, rows):
     """Emptiness by one LP over the literal ``Fraction`` rows plus the simplex."""
     cons = [({t: 1 for t in range(dim)}, EQ, 1)]
     cons += [(dict(enumerate(rat(c) for c in coeffs)), rel, rhs) for coeffs, rel, rhs in rows]
-    variables = [(f"m{t}", NONNEG) for t in range(dim)]
-    return solve(LinearProgram("max", variables, {}, cons)).status != OPTIMAL
+    return solve(LinearProgram("max", [NONNEG] * dim, {}, integer_rows(cons))).status != OPTIMAL
 
 
 def test_integer_containment_matches_fraction_reference(influencer):

@@ -26,6 +26,7 @@ from medburn.lp import (
     dual_feasible,
     dual_objective,
     farkas_valid,
+    integer_rows,
     primal_feasible,
     solve,
 )
@@ -38,6 +39,17 @@ FIXTURES = ("salesman", "three_actions", "influencer", "abstract_pieces")
 
 PINNED_VERTEX_DIGEST = "387f665eec5e11fc15b6f5c722bfa21b37d587e63a173bbcecc51ff64ccc6cdd"
 PINNED_PIVOT_DIGEST = "d62968757b615fd8f4bb4f29f1d4fe76123b7efaf66b96e304dcacd12271a852"
+
+
+def program(sense, signs, objective, rows) -> LinearProgram:
+    """A program from sparse rational rows ``({j: coeff}, relation, rhs)``."""
+    return LinearProgram(sense, signs, objective, integer_rows(rows))
+
+
+def objective_of(lp: LinearProgram) -> dict[int, Rational]:
+    """``lp``'s objective as the sparse rational row it was built from, zeros left out."""
+    pairs, den = lp.objective
+    return {j: rat(v, den) for j, v in pairs}
 
 
 def dual_program(lp: LinearProgram) -> LinearProgram:
@@ -56,27 +68,23 @@ def dual_program(lp: LinearProgram) -> LinearProgram:
         natural = LE if is_max else GE
         return ONE if relation == natural else -ONE
 
-    dual_vars = tuple(
-        (f"y{i}", FREE if relation == EQ else NONNEG)
-        for i, (_, relation, _) in enumerate(lp.constraints)
-    )
+    dual_signs = tuple(FREE if relation == EQ else NONNEG for _, relation, _ in lp.constraints)
     objective = {i: mult(i) * lp.constraints[i][2] for i in range(len(lp.constraints))}
     cols: dict[int, dict[int, Rational]] = {j: {} for j in range(lp.n_vars)}
     for i, (row, _, _) in enumerate(lp.constraints):
         for j, c in row:
             cols[j][i] = mult(i) * c
     cost = {j: ZERO for j in range(lp.n_vars)}
-    for j, c in lp.objective:
-        cost[j] = c
+    cost.update(objective_of(lp))
     constraints = []
-    for j, (_, sign) in enumerate(lp.variables):
+    for j, sign in enumerate(lp.signs):
         relation = EQ if sign == FREE else (GE if is_max else LE)
         constraints.append((cols[j], relation, cost[j]))
-    return LinearProgram("min" if is_max else "max", dual_vars, objective, constraints)
+    return program("min" if is_max else "max", dual_signs, objective, constraints)
 
 
 def test_simple_bounded_max():
-    lp = LinearProgram("max", [("x", NONNEG)], {0: 1}, [({0: 1}, "<=", 3)])
+    lp = program("max", [NONNEG], {0: 1}, [({0: 1}, "<=", 3)])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.value == 3
@@ -85,12 +93,12 @@ def test_simple_bounded_max():
 
 
 def test_unbounded():
-    lp = LinearProgram("max", [("x", NONNEG)], {0: 1}, [])
+    lp = program("max", [NONNEG], {0: 1}, [])
     assert solve(lp).status == UNBOUNDED
 
 
 def test_infeasible_with_certificate():
-    lp = LinearProgram("max", [("x", NONNEG)], {}, [({0: 1}, "<=", -1)])
+    lp = program("max", [NONNEG], {}, [({0: 1}, "<=", -1)])
     sol = solve(lp)
     assert sol.status == INFEASIBLE
     assert sol.farkas is not None
@@ -99,13 +107,13 @@ def test_infeasible_with_certificate():
 
 def test_bad_variable_index():
     with pytest.raises(MalformedProgram):
-        LinearProgram("max", [("x", NONNEG)], {1: 1}, [])
+        program("max", [NONNEG], {1: 1}, [])
 
 
 def test_equality_and_free_variables():
-    lp = LinearProgram(
+    lp = program(
         "min",
-        [("x", NONNEG), ("y", FREE)],
+        [NONNEG, FREE],
         {0: 3, 1: 2},
         [({0: 1, 1: 1}, ">=", 4), ({0: 1, 1: -1}, "=", 1)],
     )
@@ -119,9 +127,9 @@ def test_equality_and_free_variables():
 
 def test_degenerate_equalities():
     # redundant rows force artificial purging
-    lp = LinearProgram(
+    lp = program(
         "max",
-        [("a", NONNEG), ("b", NONNEG)],
+        [NONNEG, NONNEG],
         {0: 1, 1: 2},
         [({0: 1, 1: 1}, "=", 1), ({0: 2, 1: 2}, "=", 2), ({0: 1}, "<=", rat(1, 2))],
     )
@@ -131,9 +139,9 @@ def test_degenerate_equalities():
 
 
 def test_dual_round_trip():
-    lp = LinearProgram(
+    lp = program(
         "max",
-        [("a", NONNEG), ("b", NONNEG), ("c", NONNEG)],
+        [NONNEG, NONNEG, NONNEG],
         {0: 1, 1: 1, 2: 2},
         [
             ({0: 1, 1: 1, 2: 1}, "=", 1),
@@ -151,7 +159,7 @@ def _random_lp(rng):
     n = rng.randint(1, 5)
     m = rng.randint(1, 6)
     sense = rng.choice(["max", "min"])
-    variables = [(f"x{j}", rng.choice([NONNEG, NONNEG, FREE])) for j in range(n)]
+    signs = [rng.choice([NONNEG, NONNEG, FREE]) for _ in range(n)]
     objective = {j: rng.randint(-5, 5) for j in range(n)}
     constraints = [
         ({j: rng.randint(-4, 4) for j in range(n)}, rng.choice(["<=", "=", ">="]), rng.randint(-6, 6))
@@ -160,13 +168,13 @@ def _random_lp(rng):
     for j in range(n):  # box keeps things bounded
         constraints.append(({j: 1}, "<=", 10))
         constraints.append(({j: 1}, ">=", -10))
-    return LinearProgram(sense, variables, objective, constraints)
+    return program(sense, signs, objective, constraints)
 
 
 def _scipy_solve(lp):
     n = lp.n_vars
     cost = [0.0] * n
-    for j, c in lp.objective:
+    for j, c in objective_of(lp).items():
         cost[j] = float(Fraction(int(c.numerator), int(c.denominator)))
     c = np.array(cost)
     if lp.sense == "max":
@@ -186,7 +194,7 @@ def _scipy_solve(lp):
         else:
             A_eq.append(arow)
             b_eq.append(rhs_f)
-    bounds = [(0, None) if sign == NONNEG else (None, None) for _, sign in lp.variables]
+    bounds = [(0, None) if sign == NONNEG else (None, None) for sign in lp.signs]
     return linprog(
         c,
         A_ub=np.array(A_ub) if A_ub else None,
@@ -246,7 +254,7 @@ def _random_rational_lp(rng, box, frac=None):
     n = rng.randint(1, 5)
     m = rng.randint(1, 6)
     sense = rng.choice(["max", "min"])
-    variables = [(f"x{j}", rng.choice([NONNEG, NONNEG, FREE])) for j in range(n)]
+    signs = [rng.choice([NONNEG, NONNEG, FREE]) for _ in range(n)]
     objective = {j: frac(-5, 5) for j in range(n)}
     constraints = [
         ({j: frac(-4, 4) for j in range(n)}, rng.choice(["<=", "=", ">="]), frac(-6, 6))
@@ -256,14 +264,12 @@ def _random_rational_lp(rng, box, frac=None):
         for j in range(n):
             constraints.append(({j: 1}, "<=", frac(1, 10)))
             constraints.append(({j: 1}, ">=", -frac(1, 10)))
-    return LinearProgram(sense, variables, objective, constraints)
+    return program(sense, signs, objective, constraints)
 
 
 def _certify_unbounded(lp):
     """Unbounded exactly when the program is feasible and its dual is not."""
-    feasibility = LinearProgram(lp.sense, lp.variables, {}, [
-        (dict(row), relation, rhs) for row, relation, rhs in lp.constraints
-    ])
+    feasibility = LinearProgram(lp.sense, lp.signs, {}, lp.int_rows)
     assert solve(feasibility).status == OPTIMAL
     dual = dual_program(lp)
     dual_sol = solve(dual)
@@ -307,15 +313,15 @@ def _vertex_text(sol):
 def _pinned_programs():
     """Two hand-written degenerate programs and 340 seeded random ones."""
     programs = [
-        LinearProgram(
+        program(
             "max",
-            [("a", NONNEG), ("b", NONNEG)],
+            [NONNEG, NONNEG],
             {0: 1, 1: 2},
             [({0: 1, 1: 1}, "=", 1), ({0: 2, 1: 2}, "=", 2), ({0: 1}, "<=", rat(1, 2))],
         ),
-        LinearProgram(
+        program(
             "max",
-            [("a", NONNEG), ("b", NONNEG), ("c", NONNEG)],
+            [NONNEG, NONNEG, NONNEG],
             {0: 1, 1: 1, 2: 2},
             [
                 ({0: 1, 1: 1, 2: 1}, "=", 1),
@@ -376,44 +382,44 @@ def test_pivot_path_is_pinned(monkeypatch):
 
 def test_start_basis_replaces_phase_1_and_is_checked():
     # max e over x + y = 1, e + 2x - y = 0, x <= cap: e = y - 2x peaks at 1.
-    def program(cap):
-        return LinearProgram(
+    def capped(cap):
+        return program(
             "max",
-            [("x", NONNEG), ("y", NONNEG), ("e", FREE)],
+            [NONNEG, NONNEG, FREE],
             {2: 1},
             [({0: 1, 1: 1}, EQ, 1), ({0: 2, 1: -1, 2: 1}, EQ, 0), ({0: 1}, LE, cap)],
         )
 
-    plain = solve(program(1))
+    plain = solve(capped(1))
     assert plain.status == OPTIMAL and plain.value == 1
     assert plain.basis == Basis(((1, 1), (2, 1)), (0, 1))
     # y = 1 and e = 1, or x = 1 and e = -2 on the free variable's negative half
     for start in (plain.basis, Basis(((0, 1), (2, -1)), (0, 1))):
-        assert solve(program(1), start) == plain
+        assert solve(capped(1), start) == plain
     # x = 1 breaks x <= 1/2: its slack would be negative
     with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
-        solve(program(rat(1, 2)), Basis(((0, 1), (2, -1)), (0, 1)))
+        solve(capped(rat(1, 2)), Basis(((0, 1), (2, -1)), (0, 1)))
     # e = -2 on its nonnegative half
     with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
-        solve(program(1), Basis(((0, 1), (2, 1)), (0, 1)))
+        solve(capped(1), Basis(((0, 1), (2, 1)), (0, 1)))
     # e alone leaves the first row's artificial at 1
     with pytest.raises(lp_module.CertificateError, match="start basis is infeasible"):
-        solve(program(1), Basis(((2, 1),), (1,)))
+        solve(capped(1), Basis(((2, 1),), (1,)))
     # a variable the start already made basic cannot enter again
     with pytest.raises(lp_module.CertificateError, match="basic variable"):
-        solve(program(1), Basis(((1, 1), (1, 1)), (0, 1)))
+        solve(capped(1), Basis(((1, 1), (1, 1)), (0, 1)))
     # y has no entry in the row x <= cap
     with pytest.raises(lp_module.CertificateError, match="singular"):
-        solve(program(1), Basis(((1, 1),), (2,)))
+        solve(capped(1), Basis(((1, 1),), (2,)))
     # a row listed beyond the variables is refused, not paired or dropped
     with pytest.raises(lp_module.CertificateError, match="3 rows for 2 variables"):
-        solve(program(1), Basis(plain.basis.variables, (0, 1, 2)))
+        solve(capped(1), Basis(plain.basis.variables, (0, 1, 2)))
     with pytest.raises(lp_module.CertificateError, match="does not have"):
-        solve(program(1), Basis(((1, 1), (3, 1)), (0, 1)))
+        solve(capped(1), Basis(((1, 1), (3, 1)), (0, 1)))
     with pytest.raises(lp_module.CertificateError, match="negated"):
-        solve(program(1), Basis(((0, -1), (2, -1)), (0, 1)))
+        solve(capped(1), Basis(((0, -1), (2, -1)), (0, 1)))
     with pytest.raises(lp_module.CertificateError, match="row twice"):
-        solve(program(1), Basis(plain.basis.variables, (0, 0)))
+        solve(capped(1), Basis(plain.basis.variables, (0, 0)))
 
 
 def test_optimal_basis_restarts_its_program(monkeypatch):
@@ -456,8 +462,8 @@ def test_a_purged_row_stays_out_of_the_basis():
     # x + y = 1 twice: phase 1 deletes the copy as redundant, so the basis
     # lists one row for its one variable.  Listing the copy as well is
     # refused, not paired with nothing or dropped.
-    lp = LinearProgram(
-        "max", [("x", NONNEG), ("y", NONNEG)], {0: 1, 1: 2},
+    lp = program(
+        "max", [NONNEG, NONNEG], {0: 1, 1: 2},
         [({0: 1, 1: 1}, EQ, 1), ({0: 1, 1: 1}, EQ, 1)],
     )
     sol = solve(lp)
@@ -542,7 +548,7 @@ def _checked_corpus():
 
 def _primal_reference(lp, x):
     """Primal feasibility by ``Fraction`` row sums, the exact reference."""
-    if any(v < 0 for (_, sign), v in zip(lp.variables, x) if sign == NONNEG):
+    if any(v < 0 for sign, v in zip(lp.signs, x) if sign == NONNEG):
         return False
     for row, relation, rhs in lp.constraints:
         lhs = sum((c * x[j] for j, c in row), ZERO)
@@ -562,6 +568,8 @@ def test_int_rows_round_trip_to_constraints():
             assert [rat(v, den) for _, v in nums] == [c for _, c in row]
             assert rat(inum, den) == rhs
             assert den == math.lcm(rhs.denominator, *[c.denominator for _, c in row])
+        back = [(dict(row), relation, rhs) for row, relation, rhs in lp.constraints]
+        assert integer_rows(back) == lp.int_rows
 
 
 def test_doctored_answers_are_rejected():
@@ -607,7 +615,7 @@ def test_sign_rules_alone_reject_multipliers():
     # rules can reject them.
     rows = [({0: 1}, LE, 1), ({0: -1}, LE, 1), ({0: 1}, GE, -1), ({0: -1}, GE, -1)]
     for sense in ("max", "min"):
-        lp = LinearProgram(sense, [("x", FREE)], {}, rows)
+        lp = program(sense, [FREE], {}, rows)
         le = [ONE, ONE, ZERO, ZERO] if sense == "max" else [-ONE, -ONE, ZERO, ZERO]
         ge = [ZERO, ZERO] + [-v for v in le[:2]]
         for y in (le, ge):
@@ -616,16 +624,17 @@ def test_sign_rules_alone_reject_multipliers():
     # x <= -1 and x >= 1 contradict; adding x <= 5 with a positive multiplier
     # keeps the combined row zero and its rhs positive, but has the wrong sign.
     rows = [({0: 1}, LE, -1), ({0: -1}, LE, -1), ({0: 1}, LE, 5)]
-    lp = LinearProgram("max", [("x", FREE)], {}, rows)
+    lp = program("max", [FREE], {}, rows)
     assert farkas_valid(lp, [-ONE, -ONE, ZERO])
     assert not farkas_valid(lp, [-ONE, ZERO, ONE])
 
 
 def test_integer_read_back_matches_its_rationals():
-    # A program handed over on integers is the same program; the answer is
-    # checked on integers, and each check gives the rational vectors' verdict.
+    # A program rebuilt from its own integer rows and objective is the same
+    # program; the answer is checked on integers, and each check gives the
+    # rational vectors' verdict.
     for lp, sol in _checked_corpus():
-        again = LinearProgram.on_integers(lp.sense, lp.variables, dict(lp.objective), lp.int_rows)
+        again = LinearProgram(lp.sense, lp.signs, objective_of(lp), lp.int_rows)
         assert again == lp and again.constraints == lp.constraints
         assert solve(again) == sol
         if sol.status != OPTIMAL:
@@ -647,9 +656,10 @@ def test_integer_read_back_matches_its_rationals():
 
 
 def test_integer_rows_are_validated():
-    variables = [("x", NONNEG), ("y", NONNEG)]
+    signs = [NONNEG, NONNEG]
     good = (((0, 1), (1, 2)), LE, 3, 1)
-    assert LinearProgram.on_integers("max", variables, {0: 1}, [good]).constraints == (
+    assert integer_rows([({1: 2, 0: 1, 2: 0}, LE, 3)]) == (good,)
+    assert LinearProgram("max", signs, {0: 1}, [good]).constraints == (
         (((0, ONE), (1, rat(2))), LE, rat(3)),
     )
     for bad in (
@@ -659,4 +669,6 @@ def test_integer_rows_are_validated():
         (((0, 1),), LE, 3, 0),  # no denominator
     ):
         with pytest.raises(MalformedProgram):
-            LinearProgram.on_integers("max", variables, {0: 1}, [good, bad])
+            LinearProgram("max", signs, {0: 1}, [good, bad])
+    with pytest.raises(MalformedProgram):
+        LinearProgram("max", [NONNEG, "positive"], {0: 1}, [good])

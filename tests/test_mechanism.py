@@ -161,6 +161,30 @@ def test_check_pbe_babbling(salesman):
     assert check_pbe(salesman, raw, assess).ok
 
 
+@pytest.mark.parametrize(
+    "sigma, action, gap",
+    [
+        ({"H": {"m": 1}}, "pass", "no strategy for type 'L'"),
+        ({"H": {"m": 1}, "L": {"x": 1}}, "pass", "reports 'x', not a mechanism input"),
+        ({"H": {"m": 1}, "L": {"m": 1}}, "fly", "action 'fly' at"),
+    ],
+    ids=["missing-type", "unknown-message", "unknown-action"],
+)
+def test_malformed_assessment_is_not_an_equilibrium(salesman, sigma, action, gap):
+    # A babbling mechanism with an assessment that leaves out a type, reports
+    # a message the mechanism lacks, or plays an action the game lacks.
+    raw = RawMDMB(["m"], ["s"], {"m": [(("s", 0), 1)]})
+    assess = Assessment(
+        sigma=sigma, alpha={("s", 0): {action: 1}}, beliefs={("s", 0): salesman.prior}
+    )
+    verdict = check_pbe(salesman, raw, assess)
+    assert not verdict.ok
+    assert gap in verdict.first_violation
+    with pytest.raises(NotAnEquilibrium) as refused:
+        canonicalize(salesman, raw, assess)
+    assert str(refused.value) == verdict.first_violation
+
+
 def test_canonicalize_relabeled_messages(salesman):
     raw, assess = raw_salesman()
     mech = canonicalize(salesman, raw, assess)
