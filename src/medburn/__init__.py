@@ -41,22 +41,16 @@ from .geometry import (
     value_interval,
 )
 from .mechanism import (
-    Assessment,
     CanonicalMDMB,
     InvalidDelta,
-    NotAnEquilibrium,
     NotIncentiveCompatible,
-    RawMDMB,
-    canonicalize,
     check_ic,
-    check_pbe,
     construct_optimal_mdmb,
     sender_payoff,
 )
 from .rational import Rational, format_decimal, format_fraction, rat
 from .solvers import (
     InadmissibleValue,
-    NotBinary,
     ProtocolReport,
     SaddleCertificate,
     interim_payoffs,
@@ -66,14 +60,12 @@ from .solvers import (
     value_ct,
     value_md,
     value_mdmb,
-    value_mdmb_binary,
     value_mdmb_budget,
     verify_saddle,
 )
 
 __all__ = [
     "AllTypesNull",
-    "Assessment",
     "Belief",
     "CanonicalMDMB",
     "DimensionMismatch",
@@ -84,8 +76,6 @@ __all__ = [
     "GenericityReport",
     "InadmissibleValue",
     "InvalidDelta",
-    "NotAnEquilibrium",
-    "NotBinary",
     "NotIncentiveCompatible",
     "PersuasionGame",
     "PiecewiseValueStructure",
@@ -94,14 +84,11 @@ __all__ = [
     "PriorNotOnSimplex",
     "ProtocolReport",
     "Rational",
-    "RawMDMB",
     "SaddleCertificate",
     "SubjectivePrior",
     "ValuePiece",
     "best_responses",
-    "canonicalize",
     "check_ic",
-    "check_pbe",
     "compile_pieces",
     "concavify_weighted",
     "construct_optimal_mdmb",
@@ -123,7 +110,6 @@ __all__ = [
     "value_interval",
     "value_md",
     "value_mdmb",
-    "value_mdmb_binary",
     "value_mdmb_budget",
     "verify_saddle",
     "worst_prior_envelope",

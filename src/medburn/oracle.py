@@ -41,13 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Belief, PersuasionGame, SubjectivePrior, restrict_to_support
-from .geometry import PiecewiseValueStructure, compile_pieces
+from .core import Belief, SubjectivePrior
+from .geometry import PiecewiseValueStructure
 from .lp import CertificateError
 from .rational import (
     ONE,
@@ -59,11 +59,12 @@ from .rational import (
     over_common_denominator,
     rat,
 )
-from .solvers import ProtocolReport, protocol_report_structure
+from .solvers import ProtocolReport
 
 _SEED = 177013  # seeds the random triples of every three-type candidate set
 _RESTARTS = 800  # random triples drawn per candidate set
 _POOL_CAP = 64
+_MAX_GRID_POINTS = 2**16  # 2 types up to resolution 65535, 3 types up to 360
 
 
 class TooManyTypes(ValueError):
@@ -110,14 +111,20 @@ def snapped_resolution(structure: PiecewiseValueStructure, target: int) -> int:
 
 def _compositions(dim: int, n: int) -> list[tuple[int, ...]]:
     """Every ``dim``-tuple of nonnegative integers summing to ``n``, in
-    lexicographic order: the simplex grid of step ``1/n`` in numerators."""
+    lexicographic order: the simplex grid of step ``1/n`` in numerators.
+    A grid of more than ``_MAX_GRID_POINTS`` points is refused before any is
+    built."""
     if dim > 3:
         raise TooManyTypes(f"grids support at most 3 types, got {dim}")
+    points = comb(n + dim - 1, dim - 1)
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"grid of {points} points exceeds the bound of {_MAX_GRID_POINTS}")
     if dim == 1:
         return [(n,)]
     return [(k,) + rest for k in range(n + 1) for rest in _compositions(dim - 1, n - k)]
 
 
+# kept for perfbench/tracing.ORACLE_CACHES, which clears this cache by name
 @lru_cache(maxsize=32)
 def grid_beliefs(dim: int, resolution: int) -> tuple[Belief, ...]:
     return tuple([Belief([rat(k, resolution) for k in c]) for c in _compositions(dim, resolution)])
@@ -612,17 +619,3 @@ def audit_structure(
             md_row = rows[-1]
 
     return AuditReport(tuple(rows))
-
-
-def audit_report(
-    game: PersuasionGame,
-    budgets: Sequence[RationalLike] = (),
-    grid: GridSpec | None = None,
-) -> AuditReport:
-    """Solve ``game``'s protocol report at ``budgets`` once, then audit it."""
-    game = restrict_to_support(game)
-    if game.n_types > 3:
-        raise TooManyTypes("oracle audits support at most 3 types")
-    structure = compile_pieces(game)
-    report = protocol_report_structure(structure, budgets)
-    return audit_structure(structure, report, grid)

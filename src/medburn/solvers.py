@@ -43,10 +43,6 @@ class InadmissibleValue(ValueError):
     pass
 
 
-class NotBinary(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SaddleCertificate:
     lambda_star: SubjectivePrior
@@ -57,12 +53,6 @@ class SaddleCertificate:
 
 def _structure_of(game: PersuasionGame) -> PiecewiseValueStructure:
     return compile_pieces(restrict_to_support(game))
-
-
-def max_selection(game: PersuasionGame, p: PosteriorDistribution) -> tuple[Rational, ...]:
-    """The best achievable sender value at each atom."""
-    game = restrict_to_support(game)
-    return tuple([value_interval(game, belief)[1] for belief, _ in p.atoms])
 
 
 def interim_payoffs(
@@ -183,16 +173,6 @@ def value_mdmb_budget(
 def value_md(game: PersuasionGame) -> Rational:
     """Value of mediation without burning: the zero-budget cap."""
     return value_mdmb_budget(game, 0)[0]
-
-
-def value_mdmb_binary(game: PersuasionGame) -> Rational:
-    """Two-type shortcut: the worst reweighting sits at a vertex."""
-    structure = _structure_of(game)
-    if structure.dim != 2:
-        raise NotBinary(f"{structure.dim} supported types; shortcut needs exactly 2")
-    return min(
-        concavify_weighted(structure, SubjectivePrior.degenerate(2, t)).value for t in range(2)
-    )
 
 
 # -- saddle verification -----------------------------------------------------

@@ -13,23 +13,21 @@ from medburn import Belief, PosteriorDistribution, SubjectivePrior, rat
 from medburn.envelopes import concavify_weighted
 from medburn.geometry import compile_pieces, is_generic
 from medburn.mechanism import (
+    check_ic,
     construct_optimal_mdmb,
-    deviation_findings,
     net_payoffs,
     sender_payoff,
     validate_mechanism,
 )
-from medburn.oracle import GridSpec, audit_report, audit_structure, grid_concavify, grid_qcav_binary
+from medburn.oracle import GridSpec, audit_structure, grid_concavify, grid_qcav_binary
 from medburn.solvers import (
     SaddleCertificate,
     interim_payoffs,
-    max_selection,
     protocol_report_structure,
     value_bp,
     value_ct,
     value_md,
     value_mdmb,
-    value_mdmb_binary,
     value_mdmb_budget,
     value_mdmb_budget_structure,
     value_mdmb_structure,
@@ -38,6 +36,7 @@ from medburn.solvers import (
     verify_saddle,
 )
 from random_games import CORPUS_SEED, game_corpus, random_interior_prior
+from references import max_selection, value_mdmb_binary
 
 
 def report(number: int, description: str, violations: list) -> None:
@@ -159,7 +158,7 @@ def test_criterion_6_mechanism_suite(salesman, influencer):
             residuals_zero = len(set(net_payoffs(game, mech))) == 1
             if not residuals_zero:
                 bad.append((name, k, "unequal net payoffs"))
-            if deviation_findings(game, mech):
+            if any(r < 0 for row in check_ic(game, mech) for r in row):
                 bad.append((name, k, "profitable deviation"))
             payoff = sender_payoff(game, mech)
             if payoff > value:
@@ -252,7 +251,7 @@ def test_criterion_7_random_game_properties(salesman):
             break
         mech_checked += 1
         mech = construct_optimal_mdmb(game, cert.p_star, rat(1, 8))
-        if deviation_findings(game, mech):
+        if any(r < 0 for row in check_ic(game, mech) for r in row):
             bad.append(("deviation audit", mech_checked))
 
     report(7, "200-game property suite (chain, shortcuts, collapses, splits, audits)", bad)
@@ -281,13 +280,15 @@ def _random_split(rng, prior):
 
 def test_criterion_8_oracle_dominance(salesman, three_actions, influencer, abstract_structure):
     bad = []
+    cases = {
+        "binary-sales": (compile_pieces(salesman), [2], 4096),
+        "binary-hedge": (compile_pieces(three_actions), [], 1920),
+        "three-type": (compile_pieces(influencer), [], 60),
+        "direct": (abstract_structure, [], 60),
+    }
     audits = {
-        "binary-sales": audit_report(salesman, budgets=[2], grid=GridSpec(4096)),
-        "binary-hedge": audit_report(three_actions, grid=GridSpec(1920)),
-        "three-type": audit_report(influencer, grid=GridSpec(60)),
-        "direct": audit_structure(
-            abstract_structure, protocol_report_structure(abstract_structure), grid=GridSpec(60)
-        ),
+        name: audit_structure(structure, protocol_report_structure(structure, budgets), GridSpec(n))
+        for name, (structure, budgets, n) in cases.items()
     }
     for name, audit in audits.items():
         for row in audit.rows:

@@ -3,23 +3,24 @@ import pytest
 from medburn import Belief, PosteriorDistribution, rat, validate_game
 from medburn.geometry import value_interval
 from medburn.mechanism import (
-    Assessment,
     CanonicalMDMB,
     InvalidDelta,
-    NotAnEquilibrium,
     NotIncentiveCompatible,
-    RawMDMB,
-    canonicalize,
     check_ic,
-    check_pbe,
     construct_optimal_mdmb,
-    deviation_findings,
     net_payoffs,
-    raw_sender_payoff,
     sender_payoff,
     validate_mechanism,
 )
 from medburn.solvers import value_mdmb
+from raw_mechanism import (
+    Assessment,
+    NotAnEquilibrium,
+    RawMDMB,
+    canonicalize,
+    check_pbe,
+    raw_sender_payoff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def test_construction_influencer_payoff(influencer):
     mech = construct_optimal_mdmb(influencer, cert.p_star, rat(1, 100))
     payoff = sender_payoff(influencer, mech)
     assert value - rat(1, 50) <= payoff <= value
-    assert deviation_findings(influencer, mech) == ()
+    assert all(r >= 0 for row in check_ic(influencer, mech) for r in row)
 
 
 def test_construction_trivial_when_revelation_changes_nothing(single_action):
@@ -68,7 +69,8 @@ def test_check_ic_zero_burn_breaks_incentives(salesman, salesman_scheme):
     assert residuals[low][high] < 0  # the low type gains by imitating high
     with pytest.raises(NotIncentiveCompatible):
         sender_payoff(salesman, stripped)
-    assert (low, high) in deviation_findings(salesman, stripped)
+    profitable = [(t, s) for t, row in enumerate(residuals) for s, r in enumerate(row) if r < 0]
+    assert profitable == [(low, high)]
 
 
 def test_full_revelation_without_burning_when_values_equal():
@@ -102,7 +104,7 @@ def test_mechanism_payoff_bound_and_monotonicity(salesman, influencer):
             if previous is not None:
                 assert payoff >= previous  # shrinking delta only helps
             previous = payoff
-            assert deviation_findings(game, mech) == ()
+            assert all(r >= 0 for row in check_ic(game, mech) for r in row)
             validate_mechanism(game, mech)
 
 

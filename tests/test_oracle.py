@@ -9,14 +9,13 @@ import pytest
 
 import medburn.oracle as oracle
 from medburn import Belief, SubjectivePrior, rat
-from medburn.cli import EXIT_CERTIFICATE, load_game_file, main
+from medburn.cli import EXIT_CERTIFICATE, EXIT_VALIDATION, load_game_file, main
 from medburn.geometry import Polytope, ValuePiece, compile_pieces, direct_structure
 from medburn.lp import CertificateError
 from medburn.oracle import (
     GridSpec,
     TooManyTypes,
     affine_lambda_grid_binary,
-    audit_report,
     audit_structure,
     grid_beliefs,
     grid_concavify,
@@ -39,6 +38,17 @@ def test_grid_spec_validation():
         GridSpec(1)
     with pytest.raises(TooManyTypes):
         grid_beliefs(4, 8)
+
+
+def test_grids_past_the_point_bound_are_refused(capsys):
+    # 2**16 points: two types up to resolution 65535, three up to 360.  The
+    # small refusals come first, so the CLI call below never builds a grid.
+    assert len(oracle._compositions(3, 360)) == 361 * 362 // 2
+    for dim, n, points in ((2, 65536, 65537), (3, 361, 65703)):
+        with pytest.raises(ValueError, match=f"grid of {points} points exceeds the bound of 65536"):
+            oracle._compositions(dim, n)
+    assert main(["verify", str(GAMES / "influencer.json"), "--grid", "5000"]) == EXIT_VALIDATION
+    assert "grid of 12507501 points exceeds the bound of 65536" in capsys.readouterr().err
 
 
 def test_salesman_low_type_oracle(salesman):
@@ -295,11 +305,13 @@ def test_snapped_resolution(salesman):
 
 
 def test_audit_fixture_games(salesman, three_actions):
-    report = audit_report(salesman, budgets=[2])
+    structure = compile_pieces(salesman)
+    report = audit_structure(structure, protocol_report_structure(structure, [2]))
     assert report.ok
     names = [r.protocol for r in report.rows]
     assert names == ["bp", "ct", "mdmb", "md", "mdmb[C=2]"]
-    report2 = audit_report(three_actions)
+    structure2 = compile_pieces(three_actions)
+    report2 = audit_structure(structure2, protocol_report_structure(structure2))
     assert report2.ok
 
 
@@ -424,7 +436,9 @@ def test_audit_rows_are_pinned():
         if game.n_types > 3:
             continue
         grid = GridSpec(30) if game.n_types == 3 else None
-        texts.append(_audit_text(audit_report(game, [1, 2], grid=grid)))
+        structure = compile_pieces(game)
+        report = protocol_report_structure(structure, [1, 2])
+        texts.append(_audit_text(audit_structure(structure, report, grid=grid)))
     digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
     assert digest == PINNED_AUDIT_DIGEST
 

@@ -6,13 +6,13 @@ from medburn import Belief, SubjectivePrior, rat, validate_game
 from medburn.envelopes import concavify_weighted, subjective_weight
 from medburn.geometry import compile_pieces
 from medburn.solvers import (
-    max_selection,
     interim_payoffs,
     value_bp,
     value_mdmb,
     verify_saddle,
 )
 from random_games import game_corpus
+from references import max_selection
 
 
 def test_envelope_decompositions_are_bayes_plausible():

@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -5,24 +6,25 @@ from scipy.optimize import linprog
 
 import medburn.solvers as solvers
 from medburn import Belief, PosteriorDistribution, SubjectivePrior, rat, validate_game
-from medburn.geometry import compile_pieces, is_generic
+from medburn.geometry import best_responses, compile_pieces, is_generic
 from medburn.solvers import (
     InadmissibleValue,
-    NotBinary,
     SaddleCertificate,
     interim_payoffs,
-    max_selection,
     protocol_report,
     protocol_report_structure,
     value_bp,
+    value_bp_structure,
     value_ct,
     value_md,
     value_mdmb,
-    value_mdmb_binary,
     value_mdmb_budget,
+    value_mdmb_budget_structure,
+    value_mdmb_structure,
     verify_saddle,
 )
 from random_games import random_game_of_shape, random_interior_prior
+from references import NotBinary, max_selection, value_mdmb_binary
 
 
 def tau_star():
@@ -354,3 +356,117 @@ def test_burning_strictly_improves_mediation_past_three_types(shape):
     assert not failing, failing
     assert improved, "no sampled prior where commitment is valuable"
     print(f"burning strictly improves mediation at {improved} of {4 * 5} priors")
+
+
+# -- where burning gains nothing: receiver ties -------------------------------
+# The claim above holds at almost every prior, so random interior priors never
+# test the measure-zero set where it may fail.  These tests go there: priors
+# where two actions tie as the receiver's best response.
+
+
+def _two_type_ties(game):
+    """The interior priors of a two-type game where two actions tie as best
+    responses."""
+    ties = set()
+    for a, b in combinations(range(game.n_actions), 2):
+        h0, h1 = game.u[a][0] - game.u[b][0], game.u[a][1] - game.u[b][1]
+        if h0 != h1 and 0 < h1 / (h1 - h0) < 1:
+            mu = Belief([h1 / (h1 - h0), h0 / (h0 - h1)])
+            if {a, b} <= set(best_responses(game, mu)):
+                ties.add(mu)
+    return sorted(ties, key=lambda mu: mu.weights)
+
+
+def _perturbations(mu):
+    """``mu`` moved by +-1/1000 and +-1/10**6 along every edge direction."""
+    out = []
+    for i, j in combinations(range(len(mu)), 2):
+        for step in (rat(1, 1000), rat(-1, 1000), rat(1, 10**6), rat(-1, 10**6)):
+            w = list(mu.weights)
+            w[i] += step
+            w[j] -= step
+            out.append(Belief(w))
+    return out
+
+
+def _rows(rows):
+    return "; ".join(",".join(map(str, row)) for row in rows)
+
+
+def _md_mdmb_bp(structure, mu):
+    at = structure.with_prior(mu)
+    md = value_mdmb_budget_structure(at, 0)[0]
+    return md, value_mdmb_structure(at)[0], value_bp_structure(at)
+
+
+def _no_gain_at_ties(game, ties):
+    """The priors among ``ties`` and their perturbations where commitment is
+    valuable (MD < BP) but burning gains nothing (MD = MDMB), each with
+    whether it lies on a tie; and the perturbations of such a tie where
+    burning still gains nothing.  Every exception is printed."""
+    structure = compile_pieces(game)
+    exceptions, unrestored = [], []
+    for tie in ties:
+        near = _perturbations(tie)
+        values = {mu: _md_mdmb_bp(structure, mu) for mu in [tie] + near}
+        for mu, (md, mdmb, bp) in values.items():
+            if md < bp and md == mdmb:
+                on_tie = len(best_responses(game, mu)) > 1
+                exceptions.append((mu, on_tie))
+                print(f"no gain from burning at {mu}: MD = MDMB = {md} < BP = {bp}, "
+                      f"{'on a tie' if on_tie else 'OFF EVERY TIE'}; "
+                      f"u = {_rows(game.u)}, v = {_rows([game.v])}")
+        md, mdmb, bp = values[tie]
+        if md < bp and md == mdmb:
+            unrestored += [mu for mu in near if not values[mu][0] < values[mu][1]]
+    return exceptions, unrestored
+
+
+def test_burning_gains_nothing_only_on_receiver_ties(salesman, three_actions):
+    rng = Random("tie-priors")
+    games = [salesman, three_actions]
+    assert all(is_generic(game).generic for game in games)
+    while len(games) < 202:
+        game = random_game_of_shape(rng, 2, rng.choice([3, 4, 5]))
+        if is_generic(game).generic:
+            games.append(game)
+    exceptions, unrestored = [], []
+    for game in games:
+        found, missed = _no_gain_at_ties(game, _two_type_ties(game))
+        exceptions += found
+        unrestored += missed
+    assert [mu for mu, on_tie in exceptions if not on_tie] == []
+    assert unrestored == []
+    assert (three_actions.prior, True) in exceptions
+    print(f"{len(exceptions)} tie priors where burning gains nothing, all restored off the tie")
+
+
+def test_no_gain_from_burning_at_the_three_actions_tie(three_actions):
+    structure = compile_pieces(three_actions)
+    assert best_responses(three_actions, three_actions.prior) == (0, 1)
+    assert _md_mdmb_bp(structure, Belief(["1/5", "4/5"])) == (rat(1, 4), rat(1, 4), rat(3, 10))
+    md, mdmb, _ = _md_mdmb_bp(structure, Belief(["201/1000", "799/1000"]))
+    assert md == rat(1, 4) and mdmb == rat(1402, 5593)
+    exceptions, unrestored = _no_gain_at_ties(three_actions, [three_actions.prior])
+    assert exceptions == [(three_actions.prior, True)]
+    assert unrestored == []
+
+
+def test_no_gain_from_burning_at_three_type_ties():
+    game = validate_game(
+        ["t0", "t1", "t2"],
+        ["a0", "a1", "a2"],
+        [[-3, 2, 2], [4, -5, -5], [2, 0, 4]],
+        [-4, 1, -3],
+        ["1/3", "1/3", "1/3"],
+    )
+    assert is_generic(game).generic
+    ties = [Belief(["1/8", "19/32", "9/32"]), Belief(["1/4", "11/16", "1/16"])]
+    structure = compile_pieces(game)
+    for mu in ties:
+        assert best_responses(game, mu) == (0, 2)
+        md, mdmb, bp = _md_mdmb_bp(structure, mu)
+        assert md == mdmb == -3 < bp
+    exceptions, unrestored = _no_gain_at_ties(game, ties)
+    assert exceptions == [(mu, True) for mu in ties]  # none of the 24 perturbations
+    assert unrestored == []
